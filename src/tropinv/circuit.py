@@ -15,7 +15,6 @@ the test suite asserts so.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from . import linalg
 from .errors import OffsetOutOfRange, ProfileSampleMismatch
@@ -23,6 +22,7 @@ from .graphs import (
     EdgePoint,
     VertexPoint,
     check_point,
+    memoized,
     require_connected,
     with_points,
 )
@@ -80,7 +80,7 @@ class QuadraticProfile:
 # vertex resistance table
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=512)
+@memoized
 def _vertex_table(g):
     """All pairwise effective resistances between vertices.
 
@@ -167,7 +167,7 @@ def is_bridge(g, eid):
     return True
 
 
-@lru_cache(maxsize=8192)
+@memoized
 def excised_edge_resistance(g, eid):
     """Resistance between e's endpoints in the graph with e's interior removed.
 
@@ -289,7 +289,7 @@ def _curvature_a(g, eid):
     return Fraction(-1) / (e.length + r.value)
 
 
-@lru_cache(maxsize=65536)
+@memoized
 def edge_terminal_quadratic(g, eid, vid):
     """s -> resistance(point at offset s on e, vertex v), closed form.
 
@@ -304,14 +304,14 @@ def edge_terminal_quadratic(g, eid, vid):
     return QuadraticProfile(eid, a, b, c)
 
 
-@lru_cache(maxsize=65536)
+@memoized
 def edge_terminal_integral(g, eid, vid):
     """Integral over e of resistance(., vertex v)."""
     e = g.edge(eid)
     return edge_terminal_quadratic(g, eid, vid).integral(e.length)
 
 
-@lru_cache(maxsize=65536)
+@memoized
 def cross_integral_quadratic(g, eid, other_eid):
     """s on e -> integral over e' of resistance(point at s on e, .).
 
@@ -328,7 +328,7 @@ def cross_integral_quadratic(g, eid, other_eid):
     return QuadraticProfile(eid, a, b, c)
 
 
-@lru_cache(maxsize=65536)
+@memoized
 def same_edge_integral_quadratic(g, eid):
     """s on e -> integral over e of resistance(point at s, .) along e itself.
 
@@ -348,12 +348,3 @@ def same_edge_integral_quadratic(g, eid):
         length**2 * (length / 6 + r.value / 2) / denom,
     )
 
-
-def clear_caches():
-    """Drop all memoized per-graph data (used by long-running test sessions)."""
-    _vertex_table.cache_clear()
-    excised_edge_resistance.cache_clear()
-    edge_terminal_quadratic.cache_clear()
-    edge_terminal_integral.cache_clear()
-    cross_integral_quadratic.cache_clear()
-    same_edge_integral_quadratic.cache_clear()

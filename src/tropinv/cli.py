@@ -67,26 +67,31 @@ _CROSSCHECK_ERRORS = (
 
 
 def _read_file(path):
+    """The file's UTF-8 text and the sha256 digest of its bytes."""
     try:
         with open(path, "rb") as fh:
-            return fh.read()
+            data = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path!r}: {exc}") from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path!r} is not UTF-8: {exc}") from exc
+    return text, hashlib.sha256(data).hexdigest()
 
 
 def _load_graph(path):
-    data = _read_file(path)
-    g = graphs.loads(data.decode("utf-8"))
-    return g, hashlib.sha256(data).hexdigest()
+    text, digest = _read_file(path)
+    return graphs.loads(text), digest
 
 
 def _load_counts(path):
-    data = _read_file(path)
+    text, digest = _read_file(path)
     try:
-        obj = json.loads(data.decode("utf-8"))
+        obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path!r}: {exc}") from exc
-    return hyperelliptic.NodeTypeCounts.from_json(obj), hashlib.sha256(data).hexdigest()
+    return hyperelliptic.NodeTypeCounts.from_json(obj), digest
 
 
 def parse_point(g, text):

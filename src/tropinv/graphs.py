@@ -9,11 +9,18 @@ graphs and leave every metric quantity unchanged.
 Points of the underlying metric space are addressed either as a vertex or as
 an interior position on an edge, measured from the edge's first stored
 endpoint.
+
+Data derived from a graph lives on the graph: the id maps, valences and
+components are cached properties, and the engine's per-graph computations
+(resistance tables, measures, profiles, capacity, invariants) are cached by
+`memoized` in the graph's own `_memo` dict.  Both are freed with the graph,
+so memory is bounded by the graphs the caller keeps alive; a refined graph
+built inside a call is dropped, with its memo, when the call returns.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import _CacheInfo, cached_property, wraps
 import json
 
 from .errors import (
@@ -54,14 +61,7 @@ class PolarizedMetricGraph:
 
     vertices: tuple
     edges: tuple
-
-    def __hash__(self):
-        # graphs key many memo tables; hash once, not per lookup
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = hash((self.vertices, self.edges))
-            object.__setattr__(self, "_hash", cached)
-        return cached
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, vertices, edges):
@@ -93,6 +93,8 @@ class PolarizedMetricGraph:
                 raise ParseError(f"duplicate edge id {eid!r}")
             eseen.add(eid)
             a, b = ends
+            if not (isinstance(a, str) and isinstance(b, str)):
+                raise ParseError(f"edge {eid!r}: endpoint ids must be strings, got {list(ends)!r}")
             if a not in seen or b not in seen:
                 raise ParseError(f"edge {eid!r} references unknown vertex {a if a not in seen else b!r}")
             frac = as_fraction(length)
@@ -104,13 +106,13 @@ class PolarizedMetricGraph:
         return cls(tuple(vs), tuple(es))
 
     def vertex(self, vid):
-        v = _vertex_map(self).get(vid)
+        v = self._vertex_map.get(vid)
         if v is None:
             raise UnknownPoint(f"unknown vertex {vid!r}")
         return v
 
     def edge(self, eid):
-        e = _edge_map(self).get(eid)
+        e = self._edge_map.get(eid)
         if e is None:
             raise UnknownPoint(f"unknown edge {eid!r}")
         return e
@@ -125,7 +127,70 @@ class PolarizedMetricGraph:
         return self.vertex(vid).q
 
     def valence(self, vid):
-        return _valences(self).get(vid, 0)
+        return self._valences.get(vid, 0)
+
+    @cached_property
+    def _vertex_map(self):
+        return {v.id: v for v in self.vertices}
+
+    @cached_property
+    def _edge_map(self):
+        return {e.id: e for e in self.edges}
+
+    @cached_property
+    def _valences(self):
+        out = {v.id: 0 for v in self.vertices}
+        for e in self.edges:
+            out[e.ends[0]] += 1
+            out[e.ends[1]] += 1
+        return out
+
+    @cached_property
+    def _components(self):
+        """Connected components as a frozenset of frozensets of vertex ids."""
+        adjacency = {v.id: set() for v in self.vertices}
+        for e in self.edges:
+            adjacency[e.ends[0]].add(e.ends[1])
+            adjacency[e.ends[1]].add(e.ends[0])
+        remaining = set(adjacency)
+        comps = []
+        while remaining:
+            start = min(remaining)
+            stack = [start]
+            comp = {start}
+            while stack:
+                u = stack.pop()
+                for w in adjacency[u]:
+                    if w not in comp:
+                        comp.add(w)
+                        stack.append(w)
+            comps.append(frozenset(comp))
+            remaining -= comp
+        return frozenset(comps)
+
+
+def memoized(fn):
+    """Cache fn(g, *args) in g._memo, so the entry lives exactly as long as g.
+
+    `cache_info()` gives the standard library's cache record, with hits and
+    misses counted over all graphs; the entries have no global size, so
+    both size fields read None.
+    """
+    hits = misses = 0
+
+    @wraps(fn)
+    def wrapper(g, *args):
+        nonlocal hits, misses
+        memo, key = g._memo, (fn, args)
+        if key in memo:
+            hits += 1
+            return memo[key]
+        misses += 1
+        value = memo[key] = fn(g, *args)
+        return value
+
+    wrapper.cache_info = lambda: _CacheInfo(hits, misses, None, None)
+    return wrapper
 
 
 @dataclass(frozen=True)
@@ -187,55 +252,12 @@ class ValidationReport:
         return self.connected and self.positive_lengths
 
 
-@lru_cache(maxsize=None)
-def _vertex_map(g):
-    return {v.id: v for v in g.vertices}
-
-
-@lru_cache(maxsize=None)
-def _edge_map(g):
-    return {e.id: e for e in g.edges}
-
-
-@lru_cache(maxsize=None)
-def _valences(g):
-    out = {v.id: 0 for v in g.vertices}
-    for e in g.edges:
-        out[e.ends[0]] += 1
-        out[e.ends[1]] += 1
-    return out
-
-
-@lru_cache(maxsize=None)
-def _components(g):
-    """Connected components as a frozenset of frozensets of vertex ids."""
-    adjacency = {v.id: set() for v in g.vertices}
-    for e in g.edges:
-        adjacency[e.ends[0]].add(e.ends[1])
-        adjacency[e.ends[1]].add(e.ends[0])
-    remaining = set(adjacency)
-    comps = []
-    while remaining:
-        start = min(remaining)
-        stack = [start]
-        comp = {start}
-        while stack:
-            u = stack.pop()
-            for w in adjacency[u]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        comps.append(frozenset(comp))
-        remaining -= comp
-    return frozenset(comps)
-
-
 def is_connected(g):
-    return len(_components(g)) == 1
+    return len(g._components) == 1
 
 
 def require_connected(g):
-    comps = _components(g)
+    comps = g._components
     if len(comps) > 1:
         sample = sorted(min(c) for c in comps)
         raise DisconnectedGraph(
@@ -289,9 +311,9 @@ def validate(g):
     issues = []
     connected = is_connected(g)
     if not connected:
-        comps = sorted(min(c) for c in _components(g))
+        comps = sorted(min(c) for c in g._components)
         issues.append(f"disconnected: vertices {comps[0]!r} and {comps[1]!r} lie in different components")
-    b1 = len(g.edges) - len(g.vertices) + len(_components(g))
+    b1 = len(g.edges) - len(g.vertices) + len(g._components)
     h = b1 + sum(v.q for v in g.vertices)
     if h < 1:
         issues.append("genus is 0: measure and invariant operations are undefined")

@@ -97,6 +97,9 @@ class NodeTypeCounts:
         h = obj["h"]
         if isinstance(h, bool) or not isinstance(h, int):
             raise ParseError(f"'h' must be an integer, got {h!r}")
+        for key in ("xi", "delta_i"):
+            if not isinstance(obj.get(key, []), list):
+                raise ParseError(f"{key!r} must be a list, got {obj[key]!r}")
         return cls.build(
             h,
             xi0_fixed=obj.get("xi0_fixed", 0),

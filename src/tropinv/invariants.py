@@ -16,11 +16,10 @@ accelerations, never the sole source of truth: both paths must agree exactly.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from . import circuit, potentials
 from .errors import CrosscheckFailure
-from .graphs import genus, polarized_divisor, total_length, validate
+from .graphs import genus, memoized, polarized_divisor, total_length, validate
 from .rational import decimal_string, format_rational
 
 _ZERO = Fraction(0)
@@ -42,21 +41,29 @@ def _diagonal_integral(g, atom_weights, density_weights):
     return total
 
 
+def diagonal_weights(g, quantity):
+    """(atom weights, density weights) that g(x,x) is integrated against.
+
+    epsilon: (2h-2) mu + delta_{K_q};  phi: (10h+2) mu - delta_{K_q}.
+    """
+    _, h = genus(g)
+    mu = potentials.admissible_measure(g)
+    k_q = polarized_divisor(g)
+    scale, sign = (2 * h - 2, 1) if quantity == "epsilon" else (10 * h + 2, -1)
+    atoms = {v.id: scale * mu.atom(v.id) + sign * k_q[v.id] for v in g.vertices}
+    densities = {e.id: scale * mu.density(e.id) for e in g.edges}
+    return atoms, densities
+
+
 def _dual_values(g):
     """(epsilon, phi) with both computation paths checked against each other."""
     _, h = genus(g)
-    mu = potentials.admissible_measure(g)
     k_q = polarized_divisor(g)
     c = potentials.capacity(g)
     delta = total_length(g)
 
-    eps_atoms = {v.id: (2 * h - 2) * mu.atom(v.id) + k_q[v.id] for v in g.vertices}
-    eps_densities = {e.id: (2 * h - 2) * mu.density(e.id) for e in g.edges}
-    eps_primary = _diagonal_integral(g, eps_atoms, eps_densities)
-
-    phi_atoms = {v.id: (10 * h + 2) * mu.atom(v.id) - k_q[v.id] for v in g.vertices}
-    phi_densities = {e.id: (10 * h + 2) * mu.density(e.id) for e in g.edges}
-    phi_primary = -delta / 4 + _diagonal_integral(g, phi_atoms, phi_densities) / 4
+    eps_primary = _diagonal_integral(g, *diagonal_weights(g, "epsilon"))
+    phi_primary = -delta / 4 + _diagonal_integral(g, *diagonal_weights(g, "phi")) / 4
 
     kq_f = sum(
         (k_q[v.id] * potentials._potential_at_vertex(g, v.id) for v in g.vertices),
@@ -76,7 +83,7 @@ def _dual_values(g):
     return eps_primary, phi_primary
 
 
-@lru_cache(maxsize=4096)
+@memoized
 def _epsilon_phi(g):
     return _dual_values(g)
 

@@ -18,8 +18,6 @@ from .graphs import (
     EdgePoint,
     VertexPoint,
     check_point,
-    genus,
-    polarized_divisor,
     remap_point_after_split,
     require_positive_genus,
     total_length,
@@ -56,30 +54,12 @@ def _diagonal_quadrature(g, order, atom_weights, density_weights):
     return total
 
 
-def _phi_weights(g):
-    _, h = genus(g)
-    mu = potentials.admissible_measure(g)
-    k_q = polarized_divisor(g)
-    atoms = {v.id: (10 * h + 2) * mu.atom(v.id) - k_q[v.id] for v in g.vertices}
-    densities = {e.id: (10 * h + 2) * mu.density(e.id) for e in g.edges}
-    return atoms, densities
-
-
-def _epsilon_weights(g):
-    _, h = genus(g)
-    mu = potentials.admissible_measure(g)
-    k_q = polarized_divisor(g)
-    atoms = {v.id: (2 * h - 2) * mu.atom(v.id) + k_q[v.id] for v in g.vertices}
-    densities = {e.id: (2 * h - 2) * mu.density(e.id) for e in g.edges}
-    return atoms, densities
-
-
 def quadrature_phi(g, order):
     """Midpoint-rule approximation of phi at M samples per edge."""
     require_positive_genus(g)
     if order < 2:
         raise ValueError("quadrature order must be at least 2")
-    atoms, densities = _phi_weights(g)
+    atoms, densities = invariants.diagonal_weights(g, "phi")
     value = -total_length(g) / 4 + _diagonal_quadrature(g, order, atoms, densities) / 4
     return float(value)
 
@@ -89,7 +69,7 @@ def quadrature_epsilon(g, order):
     require_positive_genus(g)
     if order < 2:
         raise ValueError("quadrature order must be at least 2")
-    atoms, densities = _epsilon_weights(g)
+    atoms, densities = invariants.diagonal_weights(g, "epsilon")
     return float(_diagonal_quadrature(g, order, atoms, densities))
 
 
@@ -189,21 +169,9 @@ def _pointwise_resistance(g, x, y):
     """Exact resistance preferring the in-edge closed form over a solve."""
     x = check_point(g, x)
     y = check_point(g, y)
-
-    def on_edge(p, eid):
-        if isinstance(p, EdgePoint) and p.edge == eid:
-            return p.offset
-        if isinstance(p, VertexPoint):
-            e = g.edge(eid)
-            if p.vertex == e.ends[0]:
-                return Fraction(0)
-            if p.vertex == e.ends[1]:
-                return e.length
-        return None
-
     for eid in {p.edge for p in (x, y) if isinstance(p, EdgePoint)}:
-        s = on_edge(x, eid)
-        t = on_edge(y, eid)
+        s = _offset_on(g, x, eid)
+        t = _offset_on(g, y, eid)
         if s is not None and t is not None:
             return circuit.same_edge_resistance(g, eid, s, t)
     return circuit.resistance(g, x, y)

@@ -15,7 +15,6 @@ restrictions of f are closed-form polynomials, so every integral is exact.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from . import circuit
 from .errors import CrosscheckFailure, ProfileSampleMismatch
@@ -25,6 +24,7 @@ from .graphs import (
     canonical_divisor,
     check_point,
     insert_point,
+    memoized,
     polarized_divisor,
     require_connected,
     require_positive_genus,
@@ -105,7 +105,7 @@ def _poly_from_quadratics(eid, weighted):
     return EdgePolynomial(eid, (c0, c1, c2, _ZERO))
 
 
-@lru_cache(maxsize=2048)
+@memoized
 def canonical_measure(g):
     """Atoms -K_can/2 plus densities 1/(m(e)+r(e)); total mass exactly one."""
     require_connected(g)
@@ -124,7 +124,7 @@ def canonical_measure(g):
     return measure
 
 
-@lru_cache(maxsize=2048)
+@memoized
 def admissible_measure(g):
     """(1/2h)(delta_{K_q} + 2 mu_can), checked against its simplified form.
 
@@ -162,7 +162,7 @@ def divisor_measure(g, divisor, tag="divisor-current"):
 # the potential f(x) = integral of r(x, .) against the admissible measure
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=65536)
+@memoized
 def _potential_at_vertex(g, vid):
     mu = admissible_measure(g)
     value = _ZERO
@@ -187,7 +187,7 @@ def potential(g, x):
     return _potential_at_vertex(refined, vid)
 
 
-@lru_cache(maxsize=16384)
+@memoized
 def potential_profile(g, eid):
     """The restriction of f to an edge as an exact polynomial.
 
@@ -222,7 +222,7 @@ def potential_profile(g, eid):
     return poly
 
 
-@lru_cache(maxsize=4096)
+@memoized
 def capacity(g):
     """c = (1/2) * double integral of the resistance kernel against the measure."""
     require_positive_genus(g)
@@ -277,10 +277,3 @@ def green_measure_integral(g, x):
         total += density * integral
     return total
 
-
-def clear_caches():
-    canonical_measure.cache_clear()
-    admissible_measure.cache_clear()
-    _potential_at_vertex.cache_clear()
-    potential_profile.cache_clear()
-    capacity.cache_clear()

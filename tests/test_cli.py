@@ -268,3 +268,36 @@ def test_crosscheck_failure_exit_4(files, capsys, monkeypatch):
     code, _, err = run(capsys, ["invariants", paths["sunset.json"]])
     assert code == 4
     assert json.loads(err)["payload"]["error"] == "CrosscheckFailure"
+
+
+_TYPE_II = dumps(build("II", (1,))).encode()
+
+
+@pytest.mark.parametrize(
+    "graph, counts",
+    [
+        (b'{"vertices": [], "edges": []}\xff', None),
+        (_TYPE_II, b'{"h": 2}\xff'),
+        (
+            json.dumps({
+                "vertices": [{"id": "a", "q": 2}],
+                "edges": [{"id": "e", "ends": [["a"], "a"], "length": "1"}],
+            }).encode(),
+            None,
+        ),
+        (_TYPE_II, json.dumps({"h": 2, "xi": 5}).encode()),
+    ],
+    ids=["graph-not-utf8", "counts-not-utf8", "endpoint-not-a-string", "xi-not-a-list"],
+)
+def test_malformed_input_exit_2_without_traceback(tmp_path, graph, counts):
+    graph_path = tmp_path / "graph.json"
+    graph_path.write_bytes(graph)
+    argv = ["invariants", str(graph_path)]
+    if counts is not None:
+        counts_path = tmp_path / "counts.json"
+        counts_path.write_bytes(counts)
+        argv = ["hyperelliptic", str(graph_path), str(counts_path)]
+    proc = subprocess.run([sys.executable, "-m", "tropinv", *argv], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stderr)["payload"]["error"] == "ParseError"

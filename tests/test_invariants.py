@@ -148,12 +148,8 @@ def test_profile_certificate_fires(monkeypatch):
         return QuadraticProfile(quad.edge, quad.a, quad.b, quad.c + 1)
 
     monkeypatch.setattr(pot.circuit, "cross_integral_quadratic", corrupted)
-    pot.potential_profile.cache_clear()
-    try:
-        with pytest.raises(ProfileSampleMismatch):
-            pot.potential_profile(g, "e2")
-    finally:
-        pot.potential_profile.cache_clear()
+    with pytest.raises(ProfileSampleMismatch):
+        pot.potential_profile(g, "e2")
 
 
 def test_report_on_dense_multigraph():
