@@ -1,9 +1,21 @@
 """Exact electrical-network computations.
 
 The graph is an electric circuit whose edge resistances are the edge lengths.
-Everything is exact: two-point resistances come from fraction-free solves of
-the grounded weighted Laplacian, and the restriction of a resistance function
-to an edge is an exact quadratic in the arclength parameter.
+Everything is exact: two-point resistances come from one fraction-free solve
+of the grounded weighted Laplacian per graph, and the restriction of a
+resistance function to an edge is an exact quadratic in the arclength
+parameter.
+
+A graph refined from a parent (a valence-2 point x inserted at offset s on an
+edge e = (p, q) of length L) does not solve again.  Eliminating x is a Kron
+reduction that gives back the parent network, so the parent's resistances
+stay, and with t = s/L the new row is
+
+    r(x, v) = (1 - t) r(p, v) + t r(q, v) + t (1 - t) (L - r(p, q)),
+
+which for a loop (p = q) reads r(p, v) + s (L - s) / L.  Chains of splits
+recurse through their parents to the nearest solved table; the refined graph
+keeps its parent, and so the parent's table, alive.
 
 Two routes produce those quadratics.  `resistance_profile` interpolates three
 interior samples and certifies the result against the endpoints and a fourth
@@ -84,10 +96,13 @@ class QuadraticProfile:
 def _vertex_table(g):
     """All pairwise effective resistances between vertices.
 
-    Grounds the first vertex and inverts the reduced weighted Laplacian by
-    fraction-free elimination; r(u, v) = H[u][u] + H[v][v] - 2 H[u][v] with
-    the ground row and column read as zero.
+    A refined graph extends its parent's table (`_extended_table`).  Any
+    other graph grounds the first vertex and inverts the reduced weighted
+    Laplacian by fraction-free elimination; r(u, v) = H[u][u] + H[v][v] -
+    2 H[u][v] with the ground row and column read as zero.
     """
+    if g._origin is not None:
+        return _extended_table(*g._origin)
     require_connected(g)
     vids = g.vertex_ids()
     index = {vid: i for i, vid in enumerate(vids)}
@@ -114,6 +129,18 @@ def _vertex_table(g):
         tuple(h[i][i] + h[j][j] - 2 * h[i][j] for j in range(n)) for i in range(n)
     )
     return index, table
+
+
+def _extended_table(parent, eid, s, x):
+    """The parent's table plus the row of x, inserted at offset s on edge eid."""
+    index, table = _vertex_table(parent)
+    e = parent.edge(eid)
+    t = s / e.length
+    row_p, row_q = table[index[e.ends[0]]], table[index[e.ends[1]]]
+    bulge = t * (1 - t) * (e.length - row_p[index[e.ends[1]]])
+    row_x = tuple((1 - t) * a + t * b + bulge for a, b in zip(row_p, row_q))
+    extended = tuple(row + (r,) for row, r in zip(table, row_x)) + (row_x + (_ZERO,),)
+    return {**index, x: len(index)}, extended
 
 
 def resistance_between_vertices(g, u, v):

@@ -91,6 +91,8 @@ def _load_counts(path):
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path!r}: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"invalid JSON in {path!r}: nested too deeply") from exc
     return hyperelliptic.NodeTypeCounts.from_json(obj), digest
 
 

@@ -18,6 +18,7 @@ from .graphs import (
     EdgePoint,
     VertexPoint,
     check_point,
+    rebuilt,
     remap_point_after_split,
     require_positive_genus,
     total_length,
@@ -339,7 +340,9 @@ def subdivision_invariance_check(g, trials=3, seed=0, min_points=1, max_points=5
 
     Each trial refines the graph at `min_points`..`max_points` random rational
     offsets and compares delta, phi, epsilon, psi, the capacity, and Green
-    values at tracked random point pairs, all with exact equality.
+    values at tracked random point pairs, all with exact equality.  The
+    refined graph is rebuilt before the comparison, so its resistance table
+    comes from its own Laplacian solve, not from g's table.
     """
     require_positive_genus(g)
     rng = random.Random(seed)
@@ -372,6 +375,7 @@ def subdivision_invariance_check(g, trials=3, seed=0, min_points=1, max_points=5
                 remap_point_after_split(q, p.edge, p.offset, new_vid, left, right)
                 for q in tracked
             ]
+        refined = rebuilt(refined)
         observed = {
             "delta": total_length(refined),
             "phi": invariants.phi(refined),

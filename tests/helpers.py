@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from tropinv import PolarizedMetricGraph, genus, is_stable
+from tropinv import PolarizedMetricGraph, genus, is_stable, linalg
 
 
 def random_rational(rng, max_num=12, max_den=12):
@@ -54,6 +54,19 @@ def random_connected_graph(rng, genus_min=1, genus_max=5, max_vertices=5, stable
         _, h = genus(g)
         if genus_min <= h <= genus_max:
             return g
+
+
+def count_solves(monkeypatch):
+    """Record the matrix size of every exact solve from now on; returns the list."""
+    sizes = []
+    solve = linalg.solve_columns
+
+    def counted(a_rows, b_columns):
+        sizes.append(len(a_rows))
+        return solve(a_rows, b_columns)
+
+    monkeypatch.setattr(linalg, "solve_columns", counted)
+    return sizes
 
 
 def random_point(g, rng):

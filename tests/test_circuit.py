@@ -18,14 +18,17 @@ from tropinv import (
     resistance,
     resistance_profile,
     same_edge_resistance,
+    with_points,
 )
 from tropinv.circuit import (
+    _vertex_table,
     cross_integral_quadratic,
     edge_terminal_quadratic,
     resistance_between_vertices,
 )
+from tropinv.graphs import rebuilt
 
-from helpers import float_resistance, random_connected_graph, random_point
+from helpers import count_solves, float_resistance, random_connected_graph, random_point
 
 
 def sunset(lengths=(1, 1, 1)):
@@ -279,3 +282,65 @@ def test_circuit_outputs_invariant_under_refinement():
         if not keep.is_infinite:
             assert keep.value == after.value
         assert foster_sum(g2) == foster_sum(g)
+
+
+def _assert_table_matches_fresh_solve(refined, solves):
+    """The derived table of a refined graph against a fresh solve of its rebuild."""
+    before = len(solves)
+    derived_index, derived = _vertex_table(refined)
+    assert len(solves) == before, "a refined graph must extend its parent's table"
+    fresh = rebuilt(refined)
+    assert refined._origin is not None and fresh._origin is None
+    fresh_index, table = _vertex_table(fresh)
+    assert solves[before:] == [len(fresh.vertices) - 1]
+    vids = refined.vertex_ids()
+    assert sorted(derived_index) == sorted(fresh_index) == sorted(vids)
+    for u in vids:
+        for v in vids:
+            assert derived[derived_index[u]][derived_index[v]] == table[fresh_index[u]][fresh_index[v]], (u, v)
+
+
+def _split_kind(g, e):
+    if e.is_loop:
+        return "loop"
+    if is_bridge(g, e.id):
+        return "bridge"
+    if any(o.id != e.id and set(o.ends) == set(e.ends) for o in g.edges):
+        return "parallel"
+    return "cycle"
+
+
+def test_refined_table_matches_fresh_solve(monkeypatch):
+    # the O(V^2) extension of a parent's table against a Laplacian solve of
+    # the same refined graph built from scratch, on every refined graph of
+    # single splits, two points on one edge and chains of 1-4 splits
+    solves = count_solves(monkeypatch)
+    rng = random.Random(2013)
+    seen = set()
+    for _ in range(30):
+        g = random_connected_graph(rng, genus_min=1, genus_max=5, max_vertices=6)
+        if not g.edges:
+            continue
+        if len(g.vertices) == 1:
+            seen.add("one vertex")
+        _vertex_table(g)
+        for e in g.edges:
+            seen.add(_split_kind(g, e))
+            refined, _ = insert_point(g, EdgePoint(e.id, e.length * Fraction(rng.randint(1, 8), 9)))
+            _assert_table_matches_fresh_solve(refined, solves)
+        e = rng.choice(g.edges)
+        refined, _ = with_points(g, [EdgePoint(e.id, e.length / 4), EdgePoint(e.id, e.length * Fraction(2, 3))])
+        _assert_table_matches_fresh_solve(refined._origin[0], solves)
+        _assert_table_matches_fresh_solve(refined, solves)
+        seen.add("two points on one edge")
+        depth = rng.randint(1, 4)
+        refined = g
+        for _ in range(depth):
+            e = rng.choice(refined.edges)
+            den = rng.randint(2, 13)
+            refined, _ = insert_point(refined, EdgePoint(e.id, e.length * Fraction(rng.randint(1, den - 1), den)))
+            _assert_table_matches_fresh_solve(refined, solves)
+        seen.add(f"chain of {depth}")
+    assert seen >= {"loop", "bridge", "parallel", "one vertex", "two points on one edge"} | {
+        f"chain of {d}" for d in (1, 2, 3, 4)
+    }

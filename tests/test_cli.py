@@ -271,6 +271,7 @@ def test_crosscheck_failure_exit_4(files, capsys, monkeypatch):
 
 
 _TYPE_II = dumps(build("II", (1,))).encode()
+_DEEP = b"[" * 100000 + b"]" * 100000
 
 
 @pytest.mark.parametrize(
@@ -286,8 +287,17 @@ _TYPE_II = dumps(build("II", (1,))).encode()
             None,
         ),
         (_TYPE_II, json.dumps({"h": 2, "xi": 5}).encode()),
+        (_DEEP, None),
+        (_TYPE_II, _DEEP),
     ],
-    ids=["graph-not-utf8", "counts-not-utf8", "endpoint-not-a-string", "xi-not-a-list"],
+    ids=[
+        "graph-not-utf8",
+        "counts-not-utf8",
+        "endpoint-not-a-string",
+        "xi-not-a-list",
+        "graph-nested-too-deeply",
+        "counts-nested-too-deeply",
+    ],
 )
 def test_malformed_input_exit_2_without_traceback(tmp_path, graph, counts):
     graph_path = tmp_path / "graph.json"

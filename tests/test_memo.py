@@ -9,9 +9,9 @@ import gc
 import random
 from fractions import Fraction
 
-from tropinv import EdgePoint, PolarizedMetricGraph, build, circuit, convergence_report, green, phi
+from tropinv import EdgePoint, PolarizedMetricGraph, build, convergence_report, green, phi
 
-from helpers import random_connected_graph
+from helpers import count_solves, random_connected_graph
 
 
 def _live_graphs():
@@ -36,11 +36,18 @@ def test_memory_bounded_by_live_graphs():
     assert _live_graphs() <= before
 
 
-def test_phi_solve_count_pinned():
-    # V=5, E=7 with one bridge: one vertex table for the graph plus one for
-    # the spot-check refinement of each of the six non-bridge edges' profiles;
-    # a memo that loses a hit shows here as an extra solve
+def test_phi_solve_count_pinned(monkeypatch):
+    # V=5, E=7 with one bridge: one solve for the graph; the spot-check
+    # refinements of the six non-bridge edges' profiles extend its table
     g = random_connected_graph(random.Random(2015), genus_min=3, genus_max=5, max_vertices=5)
-    before = circuit._vertex_table.cache_info().misses
+    solves = count_solves(monkeypatch)
     phi(g)
-    assert circuit._vertex_table.cache_info().misses - before == 7
+    assert solves == [len(g.vertices) - 1]
+
+
+def test_oracle_ladder_solve_count_pinned(monkeypatch):
+    # every quadrature midpoint refines the graph and extends its table
+    g = build("VI", (1, 2, 3))
+    solves = count_solves(monkeypatch)
+    convergence_report(g, "phi", (8, 16))
+    assert len(solves) == 1

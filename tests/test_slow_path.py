@@ -1,9 +1,12 @@
 """A second, deliberately slow engine built only from certified pieces.
 
-Everything here goes through `resistance_profile` (3-point interpolation with
-endpoint and witness certificates) and generic two-point resistances; none of
-the endpoint-anchored curvature quadratics the production path uses.  Exact
-agreement of epsilon and phi between the two engines certifies the fast path.
+Everything here goes through its own certified interpolation (3 samples,
+checked at both endpoints and at a witness point) of two-point resistances,
+each read from a Laplacian solve of the refined graph built from scratch;
+none of the endpoint-anchored curvature quadratics the production path uses,
+and none of the tables it derives for refined graphs from their parents.
+Exact agreement of epsilon and phi between the two engines certifies the
+fast path.
 """
 
 import random
@@ -17,21 +20,46 @@ from tropinv import (
     genus,
     phi,
     polarized_divisor,
-    resistance,
-    resistance_profile,
     same_edge_resistance,
     total_length,
+    with_points,
 )
-from tropinv.circuit import excised_edge_resistance
+from tropinv.circuit import excised_edge_resistance, resistance_between_vertices
+from tropinv.graphs import rebuilt
 
 from helpers import random_connected_graph
+
+
+def _fresh_resistance(g, x, y):
+    """r(x, y) from a solve of the refined graph rebuilt without its parent record."""
+    refined, (xi, yi) = with_points(g, [x, y])
+    if refined is not g:
+        refined = rebuilt(refined)
+    return resistance_between_vertices(refined, xi, yi)
+
+
+def _certified_profile(g, x, eid):
+    """s -> r(x, point at s on e) through samples at m(e)/4, m(e)/2, 3m(e)/4.
+
+    Certified against the endpoint values and a fourth sample at m(e)/5.
+    """
+    e = g.edge(eid)
+    samples = [e.length * k / 4 for k in (1, 2, 3)]
+    a, b, c = _quad_through([(s, _fresh_resistance(g, x, EdgePoint(eid, s))) for s in samples])
+    for s, y in (
+        (Fraction(0), VertexPoint(e.ends[0])),
+        (e.length, VertexPoint(e.ends[1])),
+        (e.length / 5, EdgePoint(eid, e.length / 5)),
+    ):
+        assert (a * s + b) * s + c == _fresh_resistance(g, x, y)
+    return a, b, c
 
 
 def _slow_potential(g, mu, x):
     """f(x) from generic resistances and certified cross-edge profiles."""
     total = Fraction(0)
     for vid, mass in mu.atoms():
-        total += mass * resistance(g, x, VertexPoint(vid))
+        total += mass * _fresh_resistance(g, x, VertexPoint(vid))
     for eid, density in mu.densities():
         e = g.edge(eid)
         if isinstance(x, EdgePoint) and x.edge == eid:
@@ -42,7 +70,8 @@ def _slow_potential(g, mu, x):
             b_part = (s**3 + (length - s) ** 3) / 3
             total += density * ((length + r) * a_part - b_part) / (length + r)
         else:
-            total += density * resistance_profile(g, x, eid).integral(e.length)
+            a, b, c = _certified_profile(g, x, eid)
+            total += density * (a * e.length**3 / 3 + b * e.length**2 / 2 + c * e.length)
     return total
 
 
@@ -124,6 +153,6 @@ def test_slow_potential_same_edge_consistency():
     e = g.edges[0]
     s = e.length / 3
     t = e.length * Fraction(4, 5)
-    assert same_edge_resistance(g, e.id, s, t) == resistance(
+    assert same_edge_resistance(g, e.id, s, t) == _fresh_resistance(
         g, EdgePoint(e.id, s), EdgePoint(e.id, t)
     )
