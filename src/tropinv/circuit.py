@@ -15,14 +15,19 @@ stay, and with t = s/L the new row is
 
 which for a loop (p = q) reads r(p, v) + s (L - s) / L.  Chains of splits
 recurse through their parents to the nearest solved table; the refined graph
-keeps its parent, and so the parent's table, alive.
+keeps its parent, and so the parent's table, alive.  The refined graph takes
+r(e) from its parent as well (`excised_edge_resistance`), so only a graph
+built from scratch searches for bridges.
 
 Two routes produce those quadratics.  `resistance_profile` interpolates three
 interior samples and certifies the result against the endpoints and a fourth
 sample.  The internal fast route anchors the quadratic at its endpoint values
 and uses the curvature -2/(m(e) + r(e)), where r(e) is the resistance between
 the edge's endpoints with its interior removed; both routes agree exactly and
-the test suite asserts so.
+the test suite asserts so.  Integrated over its edge, the anchored quadratic
+of a vertex v is the trapezoid value m(e) (r(p, v) + r(q, v)) / 2 plus an
+offset m(e)^3 / (6 (m(e) + r(e))) that does not depend on v
+(`edge_terminal_integral`).
 """
 
 from dataclasses import dataclass
@@ -201,10 +206,23 @@ def excised_edge_resistance(g, eid):
     Loops give 0 (the endpoints coincide); bridges give infinity.  Otherwise
     the whole graph is e in parallel with the excised network, so
     r(e) = m(e) * r(p,q) / (m(e) - r(p,q)) with r(p,q) the full-graph value.
+
+    A refined graph takes r(e) from its parent: an edge away from the new
+    vertex x keeps its value, and a half of length l of the split edge e'
+    sees the other half in series with the excised network of e', so its
+    value is (m(e') - l) + r(e'), infinite when e' is a bridge.
     """
     e = g.edge(eid)
     if e.is_loop:
         return ResistanceValue.finite(0)
+    if g._origin is not None:
+        parent, split, _, x = g._origin
+        if x not in e.ends:
+            return excised_edge_resistance(parent, eid)
+        r = excised_edge_resistance(parent, split)
+        if r.is_infinite:
+            return r
+        return ResistanceValue(parent.edge(split).length - e.length + r.value)
     if is_bridge(g, eid):
         return ResistanceValue.infinite()
     r_full = resistance_between_vertices(g, e.ends[0], e.ends[1])
@@ -307,6 +325,7 @@ def resistance_profile(g, x, eid):
 # fast closed-form quadratics (anchored, curvature -2/(m+r))
 # ---------------------------------------------------------------------------
 
+@memoized
 def _curvature_a(g, eid):
     """Leading coefficient of any resistance restriction to e: -1/(m+r), 0 on bridges."""
     e = g.edge(eid)
@@ -314,6 +333,12 @@ def _curvature_a(g, eid):
     if r.is_infinite:
         return _ZERO
     return Fraction(-1) / (e.length + r.value)
+
+
+@memoized
+def _integral_offset(g, eid):
+    """off(e) = m(e)^3 / (6 (m(e) + r(e))), 0 on bridges; see `edge_terminal_integral`."""
+    return -_curvature_a(g, eid) * g.edge(eid).length ** 3 / 6
 
 
 @memoized
@@ -333,9 +358,17 @@ def edge_terminal_quadratic(g, eid, vid):
 
 @memoized
 def edge_terminal_integral(g, eid, vid):
-    """Integral over e of resistance(., vertex v)."""
+    """Integral over e = (p, q) of resistance(., vertex v).
+
+    The anchored quadratic integrates to a L^3/3 + b L^2/2 + c L with
+    b = (r(q, v) - c - a L^2)/L, which is L (r(p, v) + r(q, v))/2 - a L^3/6:
+    the trapezoid value plus `_integral_offset`, which does not depend on v.
+    For a loop this is L r(p, v) + L^2/6.
+    """
     e = g.edge(eid)
-    return edge_terminal_quadratic(g, eid, vid).integral(e.length)
+    p = resistance_between_vertices(g, e.ends[0], vid)
+    q = resistance_between_vertices(g, e.ends[1], vid)
+    return e.length * (p + q) / 2 + _integral_offset(g, eid)
 
 
 @memoized

@@ -85,7 +85,7 @@ def _load_graph(path):
     return graphs.loads(text), digest
 
 
-def _load_counts(path):
+def _load_counts(path, genus):
     text, digest = _read_file(path)
     try:
         obj = json.loads(text)
@@ -93,7 +93,7 @@ def _load_counts(path):
         raise ParseError(f"invalid JSON in {path!r}: {exc}") from exc
     except RecursionError as exc:
         raise ParseError(f"invalid JSON in {path!r}: nested too deeply") from exc
-    return hyperelliptic.NodeTypeCounts.from_json(obj), digest
+    return hyperelliptic.NodeTypeCounts.from_json(obj, genus), digest
 
 
 def parse_point(g, text):
@@ -198,7 +198,7 @@ def cmd_genus2(args):
 
 def cmd_hyperelliptic(args):
     g, gd = _load_graph(args.graph)
-    counts, cd = _load_counts(args.counts)
+    counts, cd = _load_counts(args.counts, graphs.genus(g)[1])
     report = hyperelliptic.check_identities(g, counts)
     status = EXIT_OK if report.all_hold else EXIT_CHECK_FAILED
     return _emit(

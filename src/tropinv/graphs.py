@@ -25,6 +25,11 @@ an edge (p, q) of length L, t = s/L (see `circuit`):
 
     r(x, v) = (1 - t) r(p, v) + t r(q, v) + t (1 - t) (L - r(p, q)).
 
+The split graph takes its other model-independent data from the parent in
+the same way: r(e) of every edge (`circuit.excised_edge_resistance`), the
+admissible measure and the potential weights (`potentials`).  Chains of
+splits recurse through their parents.
+
 The record keeps the parent, and with it the parent's memo, alive as long
 as the refined graph; a parent never refers to its refinements.
 """

@@ -91,7 +91,12 @@ class NodeTypeCounts:
         }
 
     @classmethod
-    def from_json(cls, obj):
+    def from_json(cls, obj, genus):
+        """Counts for a graph of the given genus; another 'h' is a GenusMismatch.
+
+        The genus is compared before the count lists are padded to their
+        genus-determined lengths, so a huge 'h' fails without allocating.
+        """
         if not isinstance(obj, dict) or "h" not in obj:
             raise ParseError("counts JSON must be an object with an 'h' field")
         h = obj["h"]
@@ -100,6 +105,8 @@ class NodeTypeCounts:
         for key in ("xi", "delta_i"):
             if not isinstance(obj.get(key, []), list):
                 raise ParseError(f"{key!r} must be a list, got {obj[key]!r}")
+        if h != genus:
+            raise GenusMismatch(f"graph has genus {genus}, counts have h = {h}")
         return cls.build(
             h,
             xi0_fixed=obj.get("xi0_fixed", 0),

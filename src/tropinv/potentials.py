@@ -11,6 +11,12 @@ admissible measure; the Green function is then
 with c the capacity constant fixed by the normalization that g integrates to
 zero against the measure.  All of it is exact rational arithmetic; the edge
 restrictions of f are closed-form polynomials, so every integral is exact.
+
+At a vertex, f is one weighted row of the resistance table plus a constant,
+f(v) = sum over u of w(u) r(u, v) + C (`_potential_weights`).  Neither the
+measure nor the potential depends on the model, so a refined graph takes
+the admissible measure and (w, C) from its parent in closed form, and never
+builds a canonical measure.
 """
 
 from dataclasses import dataclass
@@ -130,22 +136,31 @@ def admissible_measure(g):
 
     The simplification (atoms q(x)/h, densities mu_can's over h) must agree
     atom-by-atom and density-by-density with the definition; a mismatch is an
-    implementation bug.
+    implementation bug.  The measure does not depend on the model, so a
+    refined graph takes its parent's atoms (the new vertex has none) and
+    densities, the split edge's density on both halves; the mass-one check
+    holds on every graph.
     """
     h = require_positive_genus(g)
-    mu_can = canonical_measure(g)
-    k_q = polarized_divisor(g)
-    atoms = {v.id: (k_q[v.id] + 2 * mu_can.atom(v.id)) / (2 * h) for v in g.vertices}
-    densities = {e.id: mu_can.density(e.id) / h for e in g.edges}
-    measure = Measure(g, atoms, densities, "admissible")
-    simplified = Measure(
-        g,
-        {v.id: Fraction(v.q, h) for v in g.vertices},
-        densities,
-        "admissible-simplified",
-    )
-    if measure.atoms() != simplified.atoms() or measure.densities() != simplified.densities():
-        raise CrosscheckFailure("admissible measure: definitional and simplified forms disagree")
+    if g._origin is not None:
+        parent, split, _, x = g._origin
+        mu = admissible_measure(parent)
+        densities = {e.id: mu.density(split if x in e.ends else e.id) for e in g.edges}
+        measure = Measure(g, dict(mu.atoms()), densities, "admissible")
+    else:
+        mu_can = canonical_measure(g)
+        k_q = polarized_divisor(g)
+        atoms = {v.id: (k_q[v.id] + 2 * mu_can.atom(v.id)) / (2 * h) for v in g.vertices}
+        densities = {e.id: mu_can.density(e.id) / h for e in g.edges}
+        measure = Measure(g, atoms, densities, "admissible")
+        simplified = Measure(
+            g,
+            {v.id: Fraction(v.q, h) for v in g.vertices},
+            densities,
+            "admissible-simplified",
+        )
+        if measure.atoms() != simplified.atoms() or measure.densities() != simplified.densities():
+            raise CrosscheckFailure("admissible measure: definitional and simplified forms disagree")
     if measure.total_mass != 1:
         raise CrosscheckFailure(
             f"admissible measure has mass {format_rational(measure.total_mass)} != 1"
@@ -163,14 +178,50 @@ def divisor_measure(g, divisor, tag="divisor-current"):
 # ---------------------------------------------------------------------------
 
 @memoized
-def _potential_at_vertex(g, vid):
+def _potential_weights(g):
+    """(w, C) with f(v) = sum over u of w(u) r(u, v), plus C, at every vertex v.
+
+    Integrating r(., v) over an edge e = (p, q) gives m(e)(r(p, v) + r(q, v))/2
+    plus off(e) (`circuit.edge_terminal_integral`), so w(u) is the atom at u
+    plus half the mass of each edge end at u (a loop puts its whole mass on
+    its vertex), and C is the sum of density * off(e).
+
+    A refined graph (x at offset s on e = (p, q), L = m(e), density d) moves
+    d (L - s)/2 from p and d s/2 from q onto x, and C falls by
+    d L s (L - s) / (2 (L + r(e))), the amount by which the offsets of the
+    two halves fall short of off(e).
+    """
+    if g._origin is not None:
+        parent, split, s, x = g._origin
+        weights, offset = _potential_weights(parent)
+        density = admissible_measure(parent).density(split)
+        if density == 0:
+            return weights, offset
+        e = parent.edge(split)
+        length = e.length
+        weights = dict(weights)
+        weights[e.ends[0]] -= density * (length - s) / 2
+        weights[e.ends[1]] -= density * s / 2
+        weights[x] = density * length / 2
+        return weights, offset + density * circuit._curvature_a(parent, split) * length * s * (length - s) / 2
     mu = admissible_measure(g)
-    value = _ZERO
-    for u, mass in mu.atoms():
-        value += mass * circuit.resistance_between_vertices(g, vid, u)
+    weights = dict(mu.atoms())
+    offset = _ZERO
     for eid, density in mu.densities():
-        value += density * circuit.edge_terminal_integral(g, eid, vid)
-    return value
+        e = g.edge(eid)
+        half = density * e.length / 2
+        for end in e.ends:
+            weights[end] = weights.get(end, _ZERO) + half
+        offset += density * circuit._integral_offset(g, eid)
+    return weights, offset
+
+
+@memoized
+def _potential_at_vertex(g, vid):
+    weights, offset = _potential_weights(g)
+    index, table = circuit._vertex_table(g)
+    row = table[index[vid]]
+    return sum((w * row[index[u]] for u, w in weights.items()), offset)
 
 
 def potential(g, x):

@@ -56,6 +56,53 @@ def random_connected_graph(rng, genus_min=1, genus_max=5, max_vertices=5, stable
             return g
 
 
+def refined_cases(rng, count):
+    """Seeded refinements of `count` random graphs, as (base, kind, refined).
+
+    For each graph with an edge, in order: every edge split once at a random
+    ninth (kind "loop", "bridge", "parallel" or "cycle", from the edge in the
+    base graph); two points on one edge by `with_points`, the intermediate
+    graph first (kind "two points on one edge"); a chain of 1-4 splits, each
+    link after its parent (kind "chain of k").  Every refined graph comes
+    after its parent, so a caller that reads the base graph first has read
+    each parent before its child.
+    """
+    from tropinv import EdgePoint, insert_point, is_bridge, with_points
+
+    def split_kind(g, e):
+        if e.is_loop:
+            return "loop"
+        if is_bridge(g, e.id):
+            return "bridge"
+        if any(o.id != e.id and set(o.ends) == set(e.ends) for o in g.edges):
+            return "parallel"
+        return "cycle"
+
+    for _ in range(count):
+        g = random_connected_graph(rng, genus_min=1, genus_max=5, max_vertices=6)
+        if not g.edges:
+            continue
+        for e in g.edges:
+            refined, _ = insert_point(g, EdgePoint(e.id, e.length * Fraction(rng.randint(1, 8), 9)))
+            yield g, split_kind(g, e), refined
+        e = rng.choice(g.edges)
+        refined, _ = with_points(g, [EdgePoint(e.id, e.length / 4), EdgePoint(e.id, e.length * Fraction(2, 3))])
+        yield g, "two points on one edge", refined._origin[0]
+        yield g, "two points on one edge", refined
+        depth = rng.randint(1, 4)
+        refined = g
+        for _ in range(depth):
+            e = rng.choice(refined.edges)
+            den = rng.randint(2, 13)
+            refined, _ = insert_point(refined, EdgePoint(e.id, e.length * Fraction(rng.randint(1, den - 1), den)))
+            yield g, f"chain of {depth}", refined
+
+
+REFINED_KINDS = {"loop", "bridge", "parallel", "one vertex", "two points on one edge"} | {
+    f"chain of {d}" for d in (1, 2, 3, 4)
+}
+
+
 def count_solves(monkeypatch):
     """Record the matrix size of every exact solve from now on; returns the list."""
     sizes = []

@@ -1,9 +1,12 @@
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tropinv import build, green
 from tropinv.cli import main
@@ -311,3 +314,98 @@ def test_malformed_input_exit_2_without_traceback(tmp_path, graph, counts):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert json.loads(proc.stderr)["payload"]["error"] == "ParseError"
+
+
+# --- fuzzed inputs under a fixed, well-formed argv ---------------------------
+
+_IDS = st.sampled_from(["a", "b", "c", "e1", ""]) | st.integers(-1, 2) | st.none()
+_LENGTHS = st.one_of(
+    st.sampled_from(["1", "2/3", "0", "-1/2", "1/0", "1.5", "", "x"]),
+    st.fractions(min_value=-2, max_value=5, max_denominator=7).map(str),
+    st.integers(-2, 10**30),
+    st.floats(allow_nan=True),
+    st.booleans(),
+    st.none(),
+)
+_VERTEX = st.fixed_dictionaries(
+    {"id": _IDS, "q": st.integers(-1, 2) | st.booleans() | st.sampled_from(["1", 1.0])}
+)
+_EDGE = st.fixed_dictionaries(
+    {"id": _IDS, "ends": st.lists(_IDS, max_size=3) | _IDS, "length": _LENGTHS}
+)
+_WELL_FORMED_GRAPH = st.lists(
+    st.tuples(st.sampled_from("ab"), st.sampled_from("ab"), st.fractions(min_value=0, max_value=5, max_denominator=7)),
+    max_size=4,
+).flatmap(
+    lambda edges: st.fixed_dictionaries({
+        "vertices": st.just([{"id": "a", "q": 1}, {"id": "b", "q": 0}]),
+        "edges": st.just([
+            {"id": f"e{i}", "ends": [p, q], "length": str(length)}
+            for i, (p, q, length) in enumerate(edges, start=1)
+        ]),
+    })
+)
+_GRAPH = _WELL_FORMED_GRAPH | st.fixed_dictionaries(
+    {"vertices": st.lists(_VERTEX, max_size=3), "edges": st.lists(_EDGE, max_size=4)}
+)
+_COUNTS = st.fixed_dictionaries(
+    {"h": st.integers(-1, 4) | st.sampled_from([10**12, "2", True])},
+    optional={
+        "xi0_fixed": _LENGTHS,
+        "xi": st.lists(_LENGTHS, max_size=3) | _LENGTHS,
+        "delta_i": st.lists(_LENGTHS, max_size=3) | _LENGTHS,
+        "delta0": _LENGTHS,
+    },
+)
+_JSON_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _file_bytes(structured):
+    return st.one_of(
+        structured.map(lambda obj: json.dumps(obj).encode()),
+        _JSON_JUNK.map(lambda obj: json.dumps(obj).encode()),
+        st.binary(max_size=12),
+    )
+
+
+_POINT = st.one_of(
+    st.builds(lambda vid: f"vertex:{vid}", st.sampled_from(["a", "b", "c", ""])),
+    st.builds(lambda eid, off: f"edge:{eid}@{off}", st.sampled_from(["e1", "x", ""]), _LENGTHS),
+    st.text(max_size=8),
+)
+
+
+@given(
+    command=st.sampled_from(["invariants", "green", "potential", "hyperelliptic"]),
+    graph=_file_bytes(_GRAPH),
+    counts=_file_bytes(_COUNTS),
+    points=st.tuples(_POINT, _POINT),
+)
+@settings(max_examples=500, deadline=None, derandomize=True)
+def test_fuzzed_inputs_keep_the_cli_contract(tmp_path_factory, command, graph, counts, points):
+    # exit 0, 2, 3, 4 or 5; a failure writes one JSON envelope to stderr; no
+    # exception ever escapes `main`
+    tmp = tmp_path_factory.mktemp("fuzz")
+    graph_path, counts_path = tmp / "graph.json", tmp / "counts.json"
+    graph_path.write_bytes(graph)
+    counts_path.write_bytes(counts)
+    argv = {
+        "invariants": ["invariants", str(graph_path)],
+        "green": ["green", str(graph_path), "--at", points[0], "--at", points[1]],
+        "potential": ["potential", str(graph_path), "--at", points[0]],
+        "hyperelliptic": ["hyperelliptic", str(graph_path), str(counts_path)],
+    }[command]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4, 5)
+    if code == 0:
+        assert json.loads(out.getvalue())["status"] == 0
+    else:
+        envelope = json.loads(err.getvalue())
+        assert envelope["status"] == code
+        assert set(envelope["payload"]) == {"error", "message"}

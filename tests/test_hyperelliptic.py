@@ -135,7 +135,7 @@ def test_catalog_counts_random_lengths():
 
 def test_counts_json_roundtrip():
     c = NodeTypeCounts.build(3, xi0_fixed="3/2", xi=[1, "1/4"], delta_i=["2/3"])
-    again = NodeTypeCounts.from_json(c.to_json())
+    again = NodeTypeCounts.from_json(c.to_json(), 3)
     assert again == c
     assert c.to_json() == {
         "h": 3,

@@ -9,7 +9,8 @@ import gc
 import random
 from fractions import Fraction
 
-from tropinv import EdgePoint, PolarizedMetricGraph, build, convergence_report, green, phi
+from tropinv import EdgePoint, PolarizedMetricGraph, build, circuit, convergence_report, green, phi
+from tropinv.potentials import canonical_measure
 
 from helpers import count_solves, random_connected_graph
 
@@ -36,18 +37,32 @@ def test_memory_bounded_by_live_graphs():
     assert _live_graphs() <= before
 
 
+def _canonical_misses():
+    return canonical_measure.cache_info().misses
+
+
 def test_phi_solve_count_pinned(monkeypatch):
-    # V=5, E=7 with one bridge: one solve for the graph; the spot-check
-    # refinements of the six non-bridge edges' profiles extend its table
+    # V=5, E=7 with one bridge: one solve, one canonical measure and one
+    # bridge search per edge, all for the graph itself; the spot-check
+    # refinements of the six non-bridge edges' profiles inherit the table,
+    # r(e) and the admissible measure from it
     g = random_connected_graph(random.Random(2015), genus_min=3, genus_max=5, max_vertices=5)
     solves = count_solves(monkeypatch)
+    bridge_searches = []
+    search = circuit.is_bridge
+    monkeypatch.setattr(circuit, "is_bridge", lambda graph, eid: bridge_searches.append(eid) or search(graph, eid))
+    misses = _canonical_misses()
     phi(g)
     assert solves == [len(g.vertices) - 1]
+    assert _canonical_misses() - misses == 1
+    assert len(bridge_searches) <= len(g.edges)
 
 
 def test_oracle_ladder_solve_count_pinned(monkeypatch):
     # every quadrature midpoint refines the graph and extends its table
     g = build("VI", (1, 2, 3))
     solves = count_solves(monkeypatch)
+    misses = _canonical_misses()
     convergence_report(g, "phi", (8, 16))
     assert len(solves) == 1
+    assert _canonical_misses() - misses == 1

@@ -20,7 +20,16 @@ from tropinv import (
     resistance,
 )
 
-from helpers import random_connected_graph, random_point
+from tropinv.circuit import (
+    edge_terminal_integral,
+    edge_terminal_quadratic,
+    excised_edge_resistance,
+    resistance_between_vertices,
+)
+from tropinv.graphs import rebuilt
+from tropinv.potentials import _potential_at_vertex
+
+from helpers import REFINED_KINDS, random_connected_graph, random_point, refined_cases
 
 
 def sunset():
@@ -199,3 +208,36 @@ def test_green_via_resistance_representation():
         y = random_point(g, rng)
         expected = (potential(g, x) + potential(g, y) - resistance(g, x, y)) / 2 - capacity(g)
         assert green(g, x, y) == expected
+
+
+def test_refined_graph_inherits_exactly():
+    # what a refined graph takes from its parent (r(e), the admissible
+    # measure, the potential weights) and the closed-form edge integral,
+    # against the same graph rebuilt from scratch: r(e) from its own solve
+    # and bridge search, the measure from the definitional form, and the
+    # potential as the definitional sum over atoms and anchored quadratics
+    seen = set()
+    for g, kind, refined in refined_cases(random.Random(2014), 30):
+        seen.add(kind)
+        if len(g.vertices) == 1:
+            seen.add("one vertex")
+        fresh = rebuilt(refined)
+        mu, mu_fresh = admissible_measure(refined), admissible_measure(fresh)
+        assert mu.atoms() == mu_fresh.atoms()
+        assert mu.densities() == mu_fresh.densities()
+        for e in refined.edges:
+            assert excised_edge_resistance(refined, e.id) == excised_edge_resistance(fresh, e.id), e.id
+        for v in refined.vertex_ids():
+            expected = sum(
+                (mass * resistance_between_vertices(fresh, u, v) for u, mass in mu_fresh.atoms()), Fraction(0)
+            ) + sum(
+                (d * edge_terminal_quadratic(fresh, eid, v).integral(fresh.edge(eid).length)
+                 for eid, d in mu_fresh.densities()),
+                Fraction(0),
+            )
+            assert _potential_at_vertex(refined, v) == expected, v
+            for e in refined.edges:
+                assert edge_terminal_integral(refined, e.id, v) == edge_terminal_quadratic(
+                    fresh, e.id, v
+                ).integral(e.length), (e.id, v)
+    assert seen >= REFINED_KINDS
