@@ -322,7 +322,8 @@ def resistance_profile(g, x, eid):
 
 
 # ---------------------------------------------------------------------------
-# fast closed-form quadratics (anchored, curvature -2/(m+r))
+# closed-form quadratics (anchored, curvature -2/(m+r)); the two integral
+# quadratics are the reference route that tests sum into potential profiles
 # ---------------------------------------------------------------------------
 
 @memoized

@@ -6,7 +6,7 @@ decimal rendering.  Identical inputs and seeds produce byte-identical output.
 
 Exit codes:
     0  success
-    2  parse error (JSON, schema, rational or point syntax, arity)
+    2  parse error (usage, JSON, schema, rational or point syntax, arity)
     3  validation error (disconnected, bad length/offset, genus 0, unknown
        ids, mismatched counts, zero denominator)
     4  internal crosscheck failure (dual paths or certificates disagree)
@@ -237,8 +237,15 @@ def cmd_oracle(args):
     return _emit(args.argv, {"graph": digest}, payload, status)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ParseError (so they get the envelope), in subparsers too."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tropinv",
         description="Exact invariants, measures and Green's functions of polarized metric graphs.",
     )
@@ -301,25 +308,27 @@ def main(argv=None):
     raw = list(argv) if argv is not None else sys.argv[1:]
     try:
         args = parser.parse_args(raw)
+    except ParseError as exc:
+        return _fail(raw, exc, EXIT_PARSE)
     except SystemExit as exc:
-        # argparse exits 2 on usage errors, which matches the parse-error code
+        # --help prints its text and exits 0
         return int(exc.code) if exc.code else EXIT_OK
     args.argv = raw
     try:
         return args.fn(args)
     except _PARSE_ERRORS as exc:
-        return _fail(args, exc, EXIT_PARSE)
+        return _fail(raw, exc, EXIT_PARSE)
     except _VALIDATION_ERRORS as exc:
-        return _fail(args, exc, EXIT_VALIDATION)
+        return _fail(raw, exc, EXIT_VALIDATION)
     except _CROSSCHECK_ERRORS as exc:
-        return _fail(args, exc, EXIT_CROSSCHECK)
+        return _fail(raw, exc, EXIT_CROSSCHECK)
     except TropinvError as exc:
-        return _fail(args, exc, EXIT_VALIDATION)
+        return _fail(raw, exc, EXIT_VALIDATION)
 
 
-def _fail(args, exc, status):
+def _fail(argv, exc, status):
     payload = {"error": type(exc).__name__, "message": str(exc)}
-    _emit(args.argv, {}, payload, status, stream=sys.stderr)
+    _emit(argv, {}, payload, status, stream=sys.stderr)
     return status
 
 

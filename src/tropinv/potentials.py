@@ -16,7 +16,10 @@ At a vertex, f is one weighted row of the resistance table plus a constant,
 f(v) = sum over u of w(u) r(u, v) + C (`_potential_weights`).  Neither the
 measure nor the potential depends on the model, so a refined graph takes
 the admissible measure and (w, C) from its parent in closed form, and never
-builds a canonical measure.
+builds a canonical measure.  On an edge, f is the quadratic anchored at its
+two endpoint potentials with leading coefficient d(e) - 1/(m(e) + r(e))
+(`potential_profile`), so a profile costs O(1) once the vertex potentials
+are known.
 """
 
 from dataclasses import dataclass
@@ -99,16 +102,6 @@ class EdgePolynomial:
             total += c * power / (k + 1)
             power *= u
         return total
-
-
-def _poly_from_quadratics(eid, weighted):
-    """Sum of weight * QuadraticProfile terms as an EdgePolynomial."""
-    c0 = c1 = c2 = _ZERO
-    for weight, quad in weighted:
-        c0 += weight * quad.c
-        c1 += weight * quad.b
-        c2 += weight * quad.a
-    return EdgePolynomial(eid, (c0, c1, c2, _ZERO))
 
 
 @memoized
@@ -240,36 +233,32 @@ def potential(g, x):
 
 @memoized
 def potential_profile(g, eid):
-    """The restriction of f to an edge as an exact polynomial.
+    """The restriction of f to an edge e = (p, q) as an exact quadratic.
 
-    Cross-edge contributions are quadratic in the arclength; the same-edge
-    term is the closed-form integral of the in-edge resistance kernel.  The
-    endpoint evaluations must reproduce the vertex potentials, and an interior
-    spot-check against the refinement route must match exactly.
+    f on e is the measure-weighted sum of resistance restrictions to e; with
+    the mass-one identity their leading coefficients sum to
+    A = d(e) - 1/(m(e) + r(e)), the density of e plus `circuit._curvature_a`
+    (0 on a bridge).  The endpoint potentials fix the rest:
+
+        f(s) = f(p) + b s + A s^2,  b = (f(q) - f(p) - A m(e)^2) / m(e).
+
+    The value at m(e)/5 must equal the refinement route, which reads the
+    extended table and the inherited weights, not A: an error in A shows
+    there as 4 m(e)^2/25 times itself.
     """
     require_positive_genus(g)
     e = g.edge(eid)
-    mu = admissible_measure(g)
-    weighted = []
-    for vid, mass in mu.atoms():
-        weighted.append((mass, circuit.edge_terminal_quadratic(g, eid, vid)))
-    for other, density in mu.densities():
-        if other == eid:
-            weighted.append((density, circuit.same_edge_integral_quadratic(g, eid)))
-        else:
-            weighted.append((density, circuit.cross_integral_quadratic(g, eid, other)))
-    poly = _poly_from_quadratics(eid, weighted)
-    checks = [
-        (_ZERO, _potential_at_vertex(g, e.ends[0])),
-        (e.length, _potential_at_vertex(g, e.ends[1])),
-        (e.length / 5, potential(g, EdgePoint(eid, e.length / 5))),
-    ]
-    for s, expected in checks:
-        if poly.evaluate(s) != expected:
-            raise ProfileSampleMismatch(
-                f"potential profile on edge {eid!r} is off at s={format_rational(s)}: "
-                f"{format_rational(poly.evaluate(s))} != {format_rational(expected)}"
-            )
+    length = e.length
+    a = admissible_measure(g).density(eid) + circuit._curvature_a(g, eid)
+    f_p, f_q = (_potential_at_vertex(g, end) for end in e.ends)
+    poly = EdgePolynomial(eid, (f_p, (f_q - f_p - a * length**2) / length, a, _ZERO))
+    s = length / 5
+    expected = potential(g, EdgePoint(eid, s))
+    if poly.evaluate(s) != expected:
+        raise ProfileSampleMismatch(
+            f"potential profile on edge {eid!r} is off at s={format_rational(s)}: "
+            f"{format_rational(poly.evaluate(s))} != {format_rational(expected)}"
+        )
     return poly
 
 

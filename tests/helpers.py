@@ -103,6 +103,31 @@ REFINED_KINDS = {"loop", "bridge", "parallel", "one vertex", "two points on one 
 }
 
 
+def definitional_profile(g, eid):
+    """The potential on edge eid as the definitional sum of resistance restrictions.
+
+    Each atom contributes its mass times `edge_terminal_quadratic`, each other
+    edge its density times `cross_integral_quadratic`, and eid itself its
+    density times `same_edge_integral_quadratic`; the coefficients are added
+    up term by term.  Returns the coefficients low to high, cubic term 0.
+    """
+    from tropinv import admissible_measure, circuit
+
+    mu = admissible_measure(g)
+    weighted = [(mass, circuit.edge_terminal_quadratic(g, eid, vid)) for vid, mass in mu.atoms()]
+    for other, density in mu.densities():
+        if other == eid:
+            weighted.append((density, circuit.same_edge_integral_quadratic(g, eid)))
+        else:
+            weighted.append((density, circuit.cross_integral_quadratic(g, eid, other)))
+    c0 = c1 = c2 = Fraction(0)
+    for weight, quad in weighted:
+        c0 += weight * quad.c
+        c1 += weight * quad.b
+        c2 += weight * quad.a
+    return (c0, c1, c2, Fraction(0))
+
+
 def count_solves(monkeypatch):
     """Record the matrix size of every exact solve from now on; returns the list."""
     sizes = []

@@ -278,20 +278,24 @@ _DEEP = b"[" * 100000 + b"]" * 100000
 
 
 @pytest.mark.parametrize(
-    "graph, counts",
+    "graph, counts, argv",
     [
-        (b'{"vertices": [], "edges": []}\xff', None),
-        (_TYPE_II, b'{"h": 2}\xff'),
+        (b'{"vertices": [], "edges": []}\xff', None, None),
+        (_TYPE_II, b'{"h": 2}\xff', None),
         (
             json.dumps({
                 "vertices": [{"id": "a", "q": 2}],
                 "edges": [{"id": "e", "ends": [["a"], "a"], "length": "1"}],
             }).encode(),
             None,
+            None,
         ),
-        (_TYPE_II, json.dumps({"h": 2, "xi": 5}).encode()),
-        (_DEEP, None),
-        (_TYPE_II, _DEEP),
+        (_TYPE_II, json.dumps({"h": 2, "xi": 5}).encode(), None),
+        (_DEEP, None, None),
+        (_TYPE_II, _DEEP, None),
+        (_TYPE_II, None, ["invariants"]),
+        (_TYPE_II, None, ["invariants", "GRAPH", "--no-such-option"]),
+        (_TYPE_II, None, ["no-such-command", "GRAPH"]),
     ],
     ids=[
         "graph-not-utf8",
@@ -300,20 +304,34 @@ _DEEP = b"[" * 100000 + b"]" * 100000
         "xi-not-a-list",
         "graph-nested-too-deeply",
         "counts-nested-too-deeply",
+        "missing-positional",
+        "unknown-option",
+        "unknown-subcommand",
     ],
 )
-def test_malformed_input_exit_2_without_traceback(tmp_path, graph, counts):
+def test_malformed_input_exit_2_without_traceback(tmp_path, graph, counts, argv):
+    # argv defaults to reading the graph (and the counts file, if given);
+    # "GRAPH" in an explicit argv stands for the graph file's path
     graph_path = tmp_path / "graph.json"
     graph_path.write_bytes(graph)
-    argv = ["invariants", str(graph_path)]
-    if counts is not None:
+    if argv is not None:
+        argv = [str(graph_path) if arg == "GRAPH" else arg for arg in argv]
+    elif counts is not None:
         counts_path = tmp_path / "counts.json"
         counts_path.write_bytes(counts)
         argv = ["hyperelliptic", str(graph_path), str(counts_path)]
+    else:
+        argv = ["invariants", str(graph_path)]
     proc = subprocess.run([sys.executable, "-m", "tropinv", *argv], capture_output=True, text=True)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert json.loads(proc.stderr)["payload"]["error"] == "ParseError"
+
+
+def test_help_exits_0_with_usage_text(capsys):
+    code, out, err = run(capsys, ["invariants", "--help"])
+    assert code == 0
+    assert out.startswith("usage: tropinv invariants") and err == ""
 
 
 # --- fuzzed inputs under a fixed, well-formed argv ---------------------------

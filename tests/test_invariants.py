@@ -136,18 +136,17 @@ def test_dual_path_guard_fires(monkeypatch):
 
 
 def test_profile_certificate_fires(monkeypatch):
-    # corrupt a cross-edge integral: the profile endpoint check must trip
+    # corrupt the leading coefficient of one edge's profile: the value at
+    # m(e)/5, which the refinement route computes without it, must disagree
     from tropinv import potentials as pot
-    from tropinv.circuit import QuadraticProfile
 
     g = build("VI", (1, 1, 1))
-    real = pot.circuit.cross_integral_quadratic
+    real = pot.circuit._curvature_a
 
-    def corrupted(graph, eid, other):
-        quad = real(graph, eid, other)
-        return QuadraticProfile(quad.edge, quad.a, quad.b, quad.c + 1)
+    def corrupted(graph, eid):
+        return real(graph, eid) + (1 if graph is g and eid == "e2" else 0)
 
-    monkeypatch.setattr(pot.circuit, "cross_integral_quadratic", corrupted)
+    monkeypatch.setattr(pot.circuit, "_curvature_a", corrupted)
     with pytest.raises(ProfileSampleMismatch):
         pot.potential_profile(g, "e2")
 

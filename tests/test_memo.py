@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 from tropinv import EdgePoint, PolarizedMetricGraph, build, circuit, convergence_report, green, phi
-from tropinv.potentials import canonical_measure
+from tropinv.potentials import canonical_measure, potential_profile
 
 from helpers import count_solves, random_connected_graph
 
@@ -45,17 +45,22 @@ def test_phi_solve_count_pinned(monkeypatch):
     # V=5, E=7 with one bridge: one solve, one canonical measure and one
     # bridge search per edge, all for the graph itself; the spot-check
     # refinements of the six non-bridge edges' profiles inherit the table,
-    # r(e) and the admissible measure from it
+    # r(e) and the admissible measure from it; each profile is anchored at
+    # its endpoint potentials, so no cross-edge quadratic is built
     g = random_connected_graph(random.Random(2015), genus_min=3, genus_max=5, max_vertices=5)
     solves = count_solves(monkeypatch)
     bridge_searches = []
     search = circuit.is_bridge
     monkeypatch.setattr(circuit, "is_bridge", lambda graph, eid: bridge_searches.append(eid) or search(graph, eid))
     misses = _canonical_misses()
+    cross_misses = circuit.cross_integral_quadratic.cache_info().misses
+    profile_misses = potential_profile.cache_info().misses
     phi(g)
     assert solves == [len(g.vertices) - 1]
     assert _canonical_misses() - misses == 1
     assert len(bridge_searches) <= len(g.edges)
+    assert circuit.cross_integral_quadratic.cache_info().misses == cross_misses
+    assert potential_profile.cache_info().misses - profile_misses <= len(g.edges)
 
 
 def test_oracle_ladder_solve_count_pinned(monkeypatch):

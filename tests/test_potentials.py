@@ -29,7 +29,13 @@ from tropinv.circuit import (
 from tropinv.graphs import rebuilt
 from tropinv.potentials import _potential_at_vertex
 
-from helpers import REFINED_KINDS, random_connected_graph, random_point, refined_cases
+from helpers import (
+    REFINED_KINDS,
+    definitional_profile,
+    random_connected_graph,
+    random_point,
+    refined_cases,
+)
 
 
 def sunset():
@@ -240,4 +246,20 @@ def test_refined_graph_inherits_exactly():
                 assert edge_terminal_integral(refined, e.id, v) == edge_terminal_quadratic(
                     fresh, e.id, v
                 ).integral(e.length), (e.id, v)
+    assert seen >= REFINED_KINDS
+
+
+def test_profile_matches_definitional_sum():
+    # the anchored profile (endpoint potentials and leading coefficient
+    # d(e) - 1/(m(e) + r(e))) against the definitional sum of V + E weighted
+    # resistance restrictions, on random base graphs and their refinements
+    rng = random.Random(2016)
+    graphs = [random_connected_graph(rng, genus_min=1, genus_max=5, max_vertices=6) for _ in range(30)]
+    seen = {"one vertex" for g in graphs if len(g.vertices) == 1}
+    for g, kind, refined in refined_cases(random.Random(2014), 30):
+        seen.add(kind)
+        graphs += [g, refined]
+    for g in dict.fromkeys(graphs):
+        for e in g.edges:
+            assert potential_profile(g, e.id).coeffs == definitional_profile(g, e.id), e.id
     assert seen >= REFINED_KINDS
