@@ -62,7 +62,6 @@ from .circuit import (
     same_edge_resistance,
 )
 from .potentials import (
-    EdgePolynomial,
     Measure,
     admissible_measure,
     canonical_measure,

@@ -1,23 +1,23 @@
 """Exact electrical-network computations.
 
 The graph is an electric circuit whose edge resistances are the edge lengths.
-Everything is exact: two-point resistances come from one fraction-free solve
-of the grounded weighted Laplacian per graph, and the restriction of a
-resistance function to an edge is an exact quadratic in the arclength
-parameter.
+Everything is exact: resistances between vertices come from one
+fraction-free solve of the grounded weighted Laplacian per graph, and the
+restriction of a resistance function to an edge is an exact quadratic in the
+arclength parameter.
 
-A graph refined from a parent (a valence-2 point x inserted at offset s on an
-edge e = (p, q) of length L) does not solve again.  Eliminating x is a Kron
-reduction that gives back the parent network, so the parent's resistances
-stay, and with t = s/L the new row is
+An interior point needs no solve of its own.  Inserting a point x at offset
+s on an edge e = (p, q) of length L as a valence-2 vertex, and eliminating
+it again (a Kron reduction), gives back the same network, so with t = s/L
+the resistances from x to the vertices form the row
 
     r(x, v) = (1 - t) r(p, v) + t r(q, v) + t (1 - t) (L - r(p, q)),
 
-which for a loop (p = q) reads r(p, v) + s (L - s) / L.  Chains of splits
-recurse through their parents to the nearest solved table; the refined graph
-keeps its parent, and so the parent's table, alive.  The refined graph takes
-r(e) from its parent as well (`excised_edge_resistance`), so only a graph
-built from scratch searches for bridges.
+which for a loop (p = q) reads r(p, v) + s (L - s) / L (`_point_row`).  The
+same formula on the edge of a second interior point y, applied to x's row,
+gives r(x, y); two points of one edge use the closed form
+`same_edge_resistance`.  So a point-level value costs O(V) once the vertex
+table is known, and no refined graph is built.
 
 Two routes produce those quadratics.  `resistance_profile` interpolates three
 interior samples and certifies the result against the endpoints and a fourth
@@ -41,7 +41,6 @@ from .graphs import (
     check_point,
     memoized,
     require_connected,
-    with_points,
 )
 from .rational import format_rational
 
@@ -101,13 +100,10 @@ class QuadraticProfile:
 def _vertex_table(g):
     """All pairwise effective resistances between vertices.
 
-    A refined graph extends its parent's table (`_extended_table`).  Any
-    other graph grounds the first vertex and inverts the reduced weighted
-    Laplacian by fraction-free elimination; r(u, v) = H[u][u] + H[v][v] -
-    2 H[u][v] with the ground row and column read as zero.
+    Grounds the first vertex and inverts the reduced weighted Laplacian by
+    fraction-free elimination; r(u, v) = H[u][u] + H[v][v] - 2 H[u][v] with
+    the ground row and column read as zero.
     """
-    if g._origin is not None:
-        return _extended_table(*g._origin)
     require_connected(g)
     vids = g.vertex_ids()
     index = {vid: i for i, vid in enumerate(vids)}
@@ -136,16 +132,43 @@ def _vertex_table(g):
     return index, table
 
 
-def _extended_table(parent, eid, s, x):
-    """The parent's table plus the row of x, inserted at offset s on edge eid."""
-    index, table = _vertex_table(parent)
-    e = parent.edge(eid)
+def _interpolated(e, s, row_p, row_q, r_pq):
+    """(1 - t) row_p + t row_q + t (1 - t) (m(e) - r(p, q)), entry by entry, t = s/m(e).
+
+    The resistances from the point at offset s on e = (p, q) to the points
+    whose resistances from p and q are row_p and row_q; none of them may lie
+    inside e.
+    """
     t = s / e.length
-    row_p, row_q = table[index[e.ends[0]]], table[index[e.ends[1]]]
-    bulge = t * (1 - t) * (e.length - row_p[index[e.ends[1]]])
-    row_x = tuple((1 - t) * a + t * b + bulge for a, b in zip(row_p, row_q))
-    extended = tuple(row + (r,) for row, r in zip(table, row_x)) + (row_x + (_ZERO,),)
-    return {**index, x: len(index)}, extended
+    bulge = t * (1 - t) * (e.length - r_pq)
+    return tuple((1 - t) * a + t * b + bulge for a, b in zip(row_p, row_q))
+
+
+def _point_row(g, x):
+    """(index, row): the resistances from a checked point x to every vertex.
+
+    A vertex reads its row of the table; an interior point interpolates the
+    rows of its edge's ends (see the module docstring).  Not memoized: a
+    quadrature ladder evaluates thousands of distinct points.
+    """
+    index, table = _vertex_table(g)
+    if isinstance(x, VertexPoint):
+        return index, table[index[x.vertex]]
+    e = g.edge(x.edge)
+    row_p, row_q = (table[index[end]] for end in e.ends)
+    return index, _interpolated(e, x.offset, row_p, row_q, row_p[index[e.ends[1]]])
+
+
+def _offset_on(g, point, eid):
+    """The offset of a checked point along an edge, or None when it is not on it."""
+    if isinstance(point, EdgePoint):
+        return point.offset if point.edge == eid else None
+    e = g.edge(eid)
+    if point.vertex == e.ends[0]:
+        return _ZERO
+    if point.vertex == e.ends[1]:
+        return e.length
+    return None
 
 
 def resistance_between_vertices(g, u, v):
@@ -158,16 +181,28 @@ def resistance_between_vertices(g, u, v):
 def resistance(g, x, y):
     """Effective resistance between two points of the metric space.
 
-    Interior points are inserted as temporary vertices; the result does not
-    depend on the refinement.  Symmetric, and zero exactly when x = y.
+    Two points of one edge (an end counts as lying on the edge) use
+    `same_edge_resistance`.  Any other pair reads y's entry of x's row
+    (`_point_row`); for an interior y that entry is the same row formula
+    on y's edge, applied to x's row.  Symmetric, and zero exactly when
+    x = y.
     """
     require_connected(g)
     x = check_point(g, x)
     y = check_point(g, y)
     if x == y:
         return _ZERO
-    refined, (xi, yi) = with_points(g, [x, y])
-    return resistance_between_vertices(refined, xi, yi)
+    for point in (x, y):
+        if isinstance(point, EdgePoint):
+            s, t = _offset_on(g, x, point.edge), _offset_on(g, y, point.edge)
+            if s is not None and t is not None:
+                return same_edge_resistance(g, point.edge, s, t)
+    index, row = _point_row(g, x)
+    if isinstance(y, VertexPoint):
+        return row[index[y.vertex]]
+    e = g.edge(y.edge)
+    p, q = (index[end] for end in e.ends)
+    return _interpolated(e, y.offset, (row[p],), (row[q],), _vertex_table(g)[1][p][q])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -206,23 +241,10 @@ def excised_edge_resistance(g, eid):
     Loops give 0 (the endpoints coincide); bridges give infinity.  Otherwise
     the whole graph is e in parallel with the excised network, so
     r(e) = m(e) * r(p,q) / (m(e) - r(p,q)) with r(p,q) the full-graph value.
-
-    A refined graph takes r(e) from its parent: an edge away from the new
-    vertex x keeps its value, and a half of length l of the split edge e'
-    sees the other half in series with the excised network of e', so its
-    value is (m(e') - l) + r(e'), infinite when e' is a bridge.
     """
     e = g.edge(eid)
     if e.is_loop:
         return ResistanceValue.finite(0)
-    if g._origin is not None:
-        parent, split, _, x = g._origin
-        if x not in e.ends:
-            return excised_edge_resistance(parent, eid)
-        r = excised_edge_resistance(parent, split)
-        if r.is_infinite:
-            return r
-        return ResistanceValue(parent.edge(split).length - e.length + r.value)
     if is_bridge(g, eid):
         return ResistanceValue.infinite()
     r_full = resistance_between_vertices(g, e.ends[0], e.ends[1])

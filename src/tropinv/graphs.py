@@ -14,24 +14,13 @@ Data derived from a graph lives on the graph: the id maps, valences and
 components are cached properties, and the engine's per-graph computations
 (resistance tables, measures, profiles, capacity, invariants) are cached by
 `memoized` in the graph's own `_memo` dict.  Both are freed with the graph,
-so memory is bounded by the graphs the caller keeps alive; a refined graph
-built inside a call is dropped, with its memo, when the call returns.
+so memory is bounded by the graphs the caller keeps alive.
 
-A graph built by splitting an edge records its origin in `_origin`: the
-parent graph, the edge, the offset and the new vertex id.  Only a graph
-built from scratch pays for an exact Laplacian solve; a split graph extends
-its parent's resistance table by the row of the new vertex x, at offset s on
-an edge (p, q) of length L, t = s/L (see `circuit`):
-
-    r(x, v) = (1 - t) r(p, v) + t r(q, v) + t (1 - t) (L - r(p, q)).
-
-The split graph takes its other model-independent data from the parent in
-the same way: r(e) of every edge (`circuit.excised_edge_resistance`), the
-admissible measure and the potential weights (`potentials`).  Chains of
-splits recurse through their parents.
-
-The record keeps the parent, and with it the parent's memo, alive as long
-as the refined graph; a parent never refers to its refinements.
+The engine evaluates interior points on the graph itself, from rows of its
+resistance table (`circuit`), and builds no refined graph for them.  A
+refined graph that a caller builds (`insert_point`, `with_points`) is a
+graph like any other: it keeps no reference to the graph it came from and
+solves its own table.
 """
 
 from dataclasses import dataclass, field
@@ -78,8 +67,6 @@ class PolarizedMetricGraph:
     vertices: tuple
     edges: tuple
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # (parent, edge id, offset, new vertex id) for a graph built by _split_edge
-    _origin: tuple = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, vertices, edges):
@@ -376,8 +363,7 @@ def _split_edge(g, eid, offset):
     """Split an edge at an interior offset.
 
     Returns (new graph, new vertex id, left edge id, right edge id); the left
-    edge carries [0, offset] of the old edge, preserving orientation.  The new
-    graph records its origin in `_origin`.
+    edge carries [0, offset] of the old edge, preserving orientation.
     """
     e = g.edge(eid)
     off = as_fraction(offset)
@@ -394,9 +380,7 @@ def _split_edge(g, eid, offset):
     edges = [(x.id, x.ends, x.length) for x in g.edges if x.id != eid]
     edges.append((left_id, (e.ends[0], new_vid), off))
     edges.append((right_id, (new_vid, e.ends[1]), e.length - off))
-    g2 = PolarizedMetricGraph.build(vertices, edges)
-    object.__setattr__(g2, "_origin", (g, eid, off, new_vid))
-    return g2, new_vid, left_id, right_id
+    return PolarizedMetricGraph.build(vertices, edges), new_vid, left_id, right_id
 
 
 def insert_point(g, point):
@@ -439,13 +423,6 @@ def with_points(g, points):
         for j in range(len(current)):
             current[j] = remap_point_after_split(current[j], p.edge, p.offset, new_vid, left_id, right_id)
     return graph, tuple(p.vertex for p in current)
-
-
-def rebuilt(g):
-    """The same graph built afresh: no origin record, so its table is solved."""
-    return PolarizedMetricGraph.build(
-        [(v.id, v.q) for v in g.vertices], [(e.id, e.ends, e.length) for e in g.edges]
-    )
 
 
 def with_lengths(g, lengths):

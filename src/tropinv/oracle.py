@@ -18,7 +18,6 @@ from .graphs import (
     EdgePoint,
     VertexPoint,
     check_point,
-    rebuilt,
     remap_point_after_split,
     require_positive_genus,
     total_length,
@@ -166,39 +165,15 @@ def convergence_report(g, quantity="phi", orders=(8, 16, 32, 64), tolerance=1e-3
 # pointwise-resistance quadrature for the Green function itself
 # ---------------------------------------------------------------------------
 
-def _pointwise_resistance(g, x, y):
-    """Exact resistance preferring the in-edge closed form over a solve."""
-    x = check_point(g, x)
-    y = check_point(g, y)
-    for eid in {p.edge for p in (x, y) if isinstance(p, EdgePoint)}:
-        s = _offset_on(g, x, eid)
-        t = _offset_on(g, y, eid)
-        if s is not None and t is not None:
-            return circuit.same_edge_resistance(g, eid, s, t)
-    return circuit.resistance(g, x, y)
-
-
-def _offset_on(g, point, eid):
-    """The offset of a point along an edge, or None when it is not on it."""
-    if isinstance(point, EdgePoint):
-        return point.offset if point.edge == eid else None
-    e = g.edge(eid)
-    if point.vertex == e.ends[0]:
-        return Fraction(0)
-    if point.vertex == e.ends[1]:
-        return e.length
-    return None
-
-
 def _potential_quadrature(g, x, order, mu):
     total = Fraction(0)
     for vid, mass in mu.atoms():
-        total += mass * _pointwise_resistance(g, x, VertexPoint(vid))
+        total += mass * circuit.resistance(g, x, VertexPoint(vid))
     for eid, density in mu.densities():
         length = g.edge(eid).length
         step = length / order
         acc = Fraction(0)
-        base = _offset_on(g, x, eid)
+        base = circuit._offset_on(g, x, eid)
         if base is not None:
             # in-edge samples: u(L-u+r)/(L+r) directly, no per-sample dispatch
             r = circuit.excised_edge_resistance(g, eid)
@@ -211,7 +186,7 @@ def _potential_quadrature(g, x, order, mu):
                     acc += u * (length - u + rv) / (length + rv)
         else:
             for s in _midpoints(length, order):
-                acc += _pointwise_resistance(g, x, EdgePoint(eid, s))
+                acc += circuit.resistance(g, x, EdgePoint(eid, s))
         total += density * step * acc
     return total
 
@@ -341,8 +316,8 @@ def subdivision_invariance_check(g, trials=3, seed=0, min_points=1, max_points=5
     Each trial refines the graph at `min_points`..`max_points` random rational
     offsets and compares delta, phi, epsilon, psi, the capacity, and Green
     values at tracked random point pairs, all with exact equality.  The
-    refined graph is rebuilt before the comparison, so its resistance table
-    comes from its own Laplacian solve, not from g's table.
+    refined graph solves its own resistance table, so the comparison shares
+    no table with g.
     """
     require_positive_genus(g)
     rng = random.Random(seed)
@@ -375,7 +350,6 @@ def subdivision_invariance_check(g, trials=3, seed=0, min_points=1, max_points=5
                 remap_point_after_split(q, p.edge, p.offset, new_vid, left, right)
                 for q in tracked
             ]
-        refined = rebuilt(refined)
         observed = {
             "delta": total_length(refined),
             "phi": invariants.phi(refined),

@@ -10,19 +10,18 @@ admissible measure; the Green function is then
 
 with c the capacity constant fixed by the normalization that g integrates to
 zero against the measure.  All of it is exact rational arithmetic; the edge
-restrictions of f are closed-form polynomials, so every integral is exact.
+restrictions of f are closed-form quadratics, so every integral is exact.
 
 At a vertex, f is one weighted row of the resistance table plus a constant,
-f(v) = sum over u of w(u) r(u, v) + C (`_potential_weights`).  Neither the
-measure nor the potential depends on the model, so a refined graph takes
-the admissible measure and (w, C) from its parent in closed form, and never
-builds a canonical measure.  On an edge, f is the quadratic anchored at its
-two endpoint potentials with leading coefficient d(e) - 1/(m(e) + r(e))
+f(v) = sum over u of w(u) r(u, v) + C (`_potential_weights`).  At an interior
+point x the same sum runs over x's row (`circuit._point_row`), with the
+weights and the constant shifted as if x were a vertex (`potential`), so
+neither needs a refined graph.  On an edge, f is the quadratic anchored at
+its two endpoint potentials with leading coefficient d(e) - 1/(m(e) + r(e))
 (`potential_profile`), so a profile costs O(1) once the vertex potentials
 are known.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import circuit
@@ -37,7 +36,6 @@ from .graphs import (
     polarized_divisor,
     require_connected,
     require_positive_genus,
-    with_points,
 )
 from .rational import format_rational
 
@@ -80,30 +78,6 @@ class Measure:
         }
 
 
-@dataclass(frozen=True)
-class EdgePolynomial:
-    """Exact polynomial of degree <= 3 on [0, m(e)], coefficients low-to-high."""
-
-    edge: str
-    coeffs: tuple
-
-    def evaluate(self, s):
-        s = Fraction(s)
-        total = _ZERO
-        for c in reversed(self.coeffs):
-            total = total * s + c
-        return total
-
-    def integral(self, upper):
-        u = Fraction(upper)
-        total = _ZERO
-        power = u
-        for k, c in enumerate(self.coeffs):
-            total += c * power / (k + 1)
-            power *= u
-        return total
-
-
 @memoized
 def canonical_measure(g):
     """Atoms -K_can/2 plus densities 1/(m(e)+r(e)); total mass exactly one."""
@@ -129,41 +103,27 @@ def admissible_measure(g):
 
     The simplification (atoms q(x)/h, densities mu_can's over h) must agree
     atom-by-atom and density-by-density with the definition; a mismatch is an
-    implementation bug.  The measure does not depend on the model, so a
-    refined graph takes its parent's atoms (the new vertex has none) and
-    densities, the split edge's density on both halves; the mass-one check
-    holds on every graph.
+    implementation bug.
     """
     h = require_positive_genus(g)
-    if g._origin is not None:
-        parent, split, _, x = g._origin
-        mu = admissible_measure(parent)
-        densities = {e.id: mu.density(split if x in e.ends else e.id) for e in g.edges}
-        measure = Measure(g, dict(mu.atoms()), densities, "admissible")
-    else:
-        mu_can = canonical_measure(g)
-        k_q = polarized_divisor(g)
-        atoms = {v.id: (k_q[v.id] + 2 * mu_can.atom(v.id)) / (2 * h) for v in g.vertices}
-        densities = {e.id: mu_can.density(e.id) / h for e in g.edges}
-        measure = Measure(g, atoms, densities, "admissible")
-        simplified = Measure(
-            g,
-            {v.id: Fraction(v.q, h) for v in g.vertices},
-            densities,
-            "admissible-simplified",
-        )
-        if measure.atoms() != simplified.atoms() or measure.densities() != simplified.densities():
-            raise CrosscheckFailure("admissible measure: definitional and simplified forms disagree")
+    mu_can = canonical_measure(g)
+    k_q = polarized_divisor(g)
+    atoms = {v.id: (k_q[v.id] + 2 * mu_can.atom(v.id)) / (2 * h) for v in g.vertices}
+    densities = {e.id: mu_can.density(e.id) / h for e in g.edges}
+    measure = Measure(g, atoms, densities, "admissible")
+    simplified = Measure(
+        g,
+        {v.id: Fraction(v.q, h) for v in g.vertices},
+        densities,
+        "admissible-simplified",
+    )
+    if measure.atoms() != simplified.atoms() or measure.densities() != simplified.densities():
+        raise CrosscheckFailure("admissible measure: definitional and simplified forms disagree")
     if measure.total_mass != 1:
         raise CrosscheckFailure(
             f"admissible measure has mass {format_rational(measure.total_mass)} != 1"
         )
     return measure
-
-
-def divisor_measure(g, divisor, tag="divisor-current"):
-    """A divisor as a purely atomic measure (integration weights)."""
-    return Measure(g, {vid: c for vid, c in divisor.items()}, {}, tag)
 
 
 # ---------------------------------------------------------------------------
@@ -178,25 +138,7 @@ def _potential_weights(g):
     plus off(e) (`circuit.edge_terminal_integral`), so w(u) is the atom at u
     plus half the mass of each edge end at u (a loop puts its whole mass on
     its vertex), and C is the sum of density * off(e).
-
-    A refined graph (x at offset s on e = (p, q), L = m(e), density d) moves
-    d (L - s)/2 from p and d s/2 from q onto x, and C falls by
-    d L s (L - s) / (2 (L + r(e))), the amount by which the offsets of the
-    two halves fall short of off(e).
     """
-    if g._origin is not None:
-        parent, split, s, x = g._origin
-        weights, offset = _potential_weights(parent)
-        density = admissible_measure(parent).density(split)
-        if density == 0:
-            return weights, offset
-        e = parent.edge(split)
-        length = e.length
-        weights = dict(weights)
-        weights[e.ends[0]] -= density * (length - s) / 2
-        weights[e.ends[1]] -= density * s / 2
-        weights[x] = density * length / 2
-        return weights, offset + density * circuit._curvature_a(parent, split) * length * s * (length - s) / 2
     mu = admissible_measure(g)
     weights = dict(mu.atoms())
     offset = _ZERO
@@ -220,15 +162,29 @@ def _potential_at_vertex(g, vid):
 def potential(g, x):
     """f(x): exact integral of the resistance kernel at x against the measure.
 
-    Interior points are handled by refining at x; the value is independent of
-    the refinement because the measure is.
+    At an interior point x at offset s on e = (p, q), L = m(e), density d,
+    f(x) is the weighted sum of `_potential_weights` over x's row
+    (`circuit._point_row`), with the weights and the constant of the graph
+    refined at x: x takes d L/2 (its own resistance is 0), p gives up
+    d (L - s)/2 and q gives up d s/2, and C falls by
+    d L s (L - s) / (2 (L + r(e))), the amount by which the offsets of
+    the two halves fall short of off(e).
     """
     require_positive_genus(g)
     x = check_point(g, x)
     if isinstance(x, VertexPoint):
         return _potential_at_vertex(g, x.vertex)
-    refined, vid = insert_point(g, x)
-    return _potential_at_vertex(refined, vid)
+    weights, offset = _potential_weights(g)
+    index, row = circuit._point_row(g, x)
+    value = sum((w * row[index[u]] for u, w in weights.items()), offset)
+    density = admissible_measure(g).density(x.edge)
+    if density == 0:
+        return value
+    e = g.edge(x.edge)
+    length, s = e.length, x.offset
+    r_p, r_q = (row[index[end]] for end in e.ends)
+    shift = circuit._curvature_a(g, x.edge) * length * s * (length - s) - (length - s) * r_p - s * r_q
+    return value + density * shift / 2
 
 
 @memoized
@@ -242,16 +198,16 @@ def potential_profile(g, eid):
 
         f(s) = f(p) + b s + A s^2,  b = (f(q) - f(p) - A m(e)^2) / m(e).
 
-    The value at m(e)/5 must equal the refinement route, which reads the
-    extended table and the inherited weights, not A: an error in A shows
-    there as 4 m(e)^2/25 times itself.
+    The value at m(e)/5 must equal `potential` there, which reads the point
+    row and the shifted weights, not A: an error in A shows there as
+    4 m(e)^2/25 times itself.
     """
     require_positive_genus(g)
     e = g.edge(eid)
     length = e.length
     a = admissible_measure(g).density(eid) + circuit._curvature_a(g, eid)
     f_p, f_q = (_potential_at_vertex(g, end) for end in e.ends)
-    poly = EdgePolynomial(eid, (f_p, (f_q - f_p - a * length**2) / length, a, _ZERO))
+    poly = circuit.QuadraticProfile(eid, a, (f_q - f_p - a * length**2) / length, f_p)
     s = length / 5
     expected = potential(g, EdgePoint(eid, s))
     if poly.evaluate(s) != expected:
@@ -284,18 +240,18 @@ def green(g, x, y):
     require_positive_genus(g)
     x = check_point(g, x)
     y = check_point(g, y)
-    refined, (xi, yi) = with_points(g, [x, y])
-    fx = _potential_at_vertex(refined, xi)
-    fy = fx if xi == yi else _potential_at_vertex(refined, yi)
-    r = circuit.resistance_between_vertices(refined, xi, yi)
-    return (fx + fy - r) / 2 - capacity(g)
+    fx = potential(g, x)
+    fy = fx if x == y else potential(g, y)
+    return (fx + fy - circuit.resistance(g, x, y)) / 2 - capacity(g)
 
 
 def green_measure_integral(g, x):
     """Closed-form integral of g(x, .) against the admissible measure.
 
-    Must be exactly zero; computed through the edge polynomials rather than
-    the defining algebra, so it genuinely exercises the integration layer.
+    Must be exactly zero; computed on the graph refined at x, which solves
+    its own resistance table, through the edge quadratics rather than the
+    defining algebra, so it shares neither the point rows nor the shifted
+    weights of `potential` and `green`.
     """
     require_positive_genus(g)
     c = capacity(g)

@@ -57,17 +57,18 @@ def random_connected_graph(rng, genus_min=1, genus_max=5, max_vertices=5, stable
 
 
 def refined_cases(rng, count):
-    """Seeded refinements of `count` random graphs, as (base, kind, refined).
+    """Seeded refinements of `count` random graphs, as (base, kind, refined, points, vids).
 
-    For each graph with an edge, in order: every edge split once at a random
-    ninth (kind "loop", "bridge", "parallel" or "cycle", from the edge in the
-    base graph); two points on one edge by `with_points`, the intermediate
-    graph first (kind "two points on one edge"); a chain of 1-4 splits, each
-    link after its parent (kind "chain of k").  Every refined graph comes
-    after its parent, so a caller that reads the base graph first has read
-    each parent before its child.
+    `refined` is the base graph refined at the interior points `points` of
+    the base graph, which became its vertices `vids`.  For each graph with
+    an edge, in order: every edge split once at a random ninth (kind "loop",
+    "bridge", "parallel" or "cycle", from the edge in the base graph); two
+    points on one edge, the graph refined at the first point only first
+    (kind "two points on one edge"); a chain of 1-4 splits, each link split
+    from the one before (kind "chain of k").
     """
     from tropinv import EdgePoint, insert_point, is_bridge, with_points
+    from tropinv.graphs import _split_edge
 
     def split_kind(g, e):
         if e.is_loop:
@@ -83,19 +84,29 @@ def refined_cases(rng, count):
         if not g.edges:
             continue
         for e in g.edges:
-            refined, _ = insert_point(g, EdgePoint(e.id, e.length * Fraction(rng.randint(1, 8), 9)))
-            yield g, split_kind(g, e), refined
+            x = EdgePoint(e.id, e.length * Fraction(rng.randint(1, 8), 9))
+            refined, vid = insert_point(g, x)
+            yield g, split_kind(g, e), refined, (x,), (vid,)
         e = rng.choice(g.edges)
-        refined, _ = with_points(g, [EdgePoint(e.id, e.length / 4), EdgePoint(e.id, e.length * Fraction(2, 3))])
-        yield g, "two points on one edge", refined._origin[0]
-        yield g, "two points on one edge", refined
+        points = (EdgePoint(e.id, e.length / 4), EdgePoint(e.id, e.length * Fraction(2, 3)))
+        refined, vid = insert_point(g, points[0])
+        yield g, "two points on one edge", refined, points[:1], (vid,)
+        refined, vids = with_points(g, points)
+        yield g, "two points on one edge", refined, points, vids
         depth = rng.randint(1, 4)
-        refined = g
+        refined, points, vids = g, (), ()
+        # edge id of the current link -> (edge of the base graph, offset of its start)
+        base_of = {e.id: (e.id, Fraction(0)) for e in g.edges}
         for _ in range(depth):
             e = rng.choice(refined.edges)
             den = rng.randint(2, 13)
-            refined, _ = insert_point(refined, EdgePoint(e.id, e.length * Fraction(rng.randint(1, den - 1), den)))
-            yield g, f"chain of {depth}", refined
+            offset = e.length * Fraction(rng.randint(1, den - 1), den)
+            refined, vid, left, right = _split_edge(refined, e.id, offset)
+            base_edge, start = base_of.pop(e.id)
+            base_of[left], base_of[right] = (base_edge, start), (base_edge, start + offset)
+            points += (EdgePoint(base_edge, start + offset),)
+            vids += (vid,)
+            yield g, f"chain of {depth}", refined, points, vids
 
 
 REFINED_KINDS = {"loop", "bridge", "parallel", "one vertex", "two points on one edge"} | {
@@ -109,7 +120,7 @@ def definitional_profile(g, eid):
     Each atom contributes its mass times `edge_terminal_quadratic`, each other
     edge its density times `cross_integral_quadratic`, and eid itself its
     density times `same_edge_integral_quadratic`; the coefficients are added
-    up term by term.  Returns the coefficients low to high, cubic term 0.
+    up term by term.  Returns the coefficients (c, b, a) of c + b s + a s^2.
     """
     from tropinv import admissible_measure, circuit
 
@@ -125,7 +136,7 @@ def definitional_profile(g, eid):
         c0 += weight * quad.c
         c1 += weight * quad.b
         c2 += weight * quad.a
-    return (c0, c1, c2, Fraction(0))
+    return (c0, c1, c2)
 
 
 def count_solves(monkeypatch):

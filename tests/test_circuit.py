@@ -21,12 +21,12 @@ from tropinv import (
     with_points,
 )
 from tropinv.circuit import (
+    _point_row,
     _vertex_table,
     cross_integral_quadratic,
     edge_terminal_quadratic,
     resistance_between_vertices,
 )
-from tropinv.graphs import rebuilt
 
 from helpers import (
     REFINED_KINDS,
@@ -291,32 +291,31 @@ def test_circuit_outputs_invariant_under_refinement():
         assert foster_sum(g2) == foster_sum(g)
 
 
-def _assert_table_matches_fresh_solve(refined, solves):
-    """The derived table of a refined graph against a fresh solve of its rebuild."""
-    before = len(solves)
-    derived_index, derived = _vertex_table(refined)
-    assert len(solves) == before, "a refined graph must extend its parent's table"
-    fresh = rebuilt(refined)
-    assert refined._origin is not None and fresh._origin is None
-    fresh_index, table = _vertex_table(fresh)
-    assert solves[before:] == [len(fresh.vertices) - 1]
-    vids = refined.vertex_ids()
-    assert sorted(derived_index) == sorted(fresh_index) == sorted(vids)
-    for u in vids:
-        for v in vids:
-            assert derived[derived_index[u]][derived_index[v]] == table[fresh_index[u]][fresh_index[v]], (u, v)
-
-
 def test_refined_table_matches_fresh_solve(monkeypatch):
-    # the O(V^2) extension of a parent's table against a Laplacian solve of
-    # the same refined graph built from scratch, on every refined graph of
-    # single splits, two points on one edge and chains of 1-4 splits
+    # the point rows and two-point resistances of interior points against
+    # the vertex table of the graph refined at those points, which solves
+    # its own Laplacian; over single splits, two points on one edge and
+    # chains of 1-4 splits, so pairs on one edge and on different edges
     solves = count_solves(monkeypatch)
     seen = set()
-    for g, kind, refined in refined_cases(random.Random(2013), 30):
+    for g, kind, refined, points, vids in refined_cases(random.Random(2013), 30):
+        seen.add(kind)
         if len(g.vertices) == 1:
             seen.add("one vertex")
+        assert with_points(g, points) == (refined, vids)
         _vertex_table(g)
-        _assert_table_matches_fresh_solve(refined, solves)
-        seen.add(kind)
-    assert seen >= REFINED_KINDS
+        before = len(solves)
+        index, table = _vertex_table(refined)
+        assert solves[before:] == [len(refined.vertices) - 1]
+        for x, xv in zip(points, vids):
+            row_index, row = _point_row(g, x)
+            assert sorted(row_index) == sorted(g.vertex_ids())
+            for v in g.vertex_ids():
+                assert row[row_index[v]] == table[index[xv]][index[v]], (x, v)
+                assert resistance(g, x, at_vertex(v)) == table[index[xv]][index[v]], (x, v)
+            for y, yv in zip(points, vids):
+                assert resistance(g, x, y) == table[index[xv]][index[yv]], (x, y)
+                if x != y:
+                    seen.add("pair on one edge" if x.edge == y.edge else "pair on two edges")
+        assert len(solves) == before + 1, "a point row must not solve"
+    assert seen >= REFINED_KINDS | {"pair on one edge", "pair on two edges"}

@@ -1,15 +1,28 @@
 """Per-graph memo: entries live exactly as long as their graph.
 
-Derived data is cached on the graph it was derived from, so the refined
-graphs that interior-point calls build are freed when the call returns, and
-a long-running process holds only the graphs its caller keeps.
+Derived data is cached on the graph it was derived from, interior points
+are evaluated on the graph itself without refining it, and a refined graph
+keeps no reference to the graph it came from, so a long-running process
+holds only the graphs its caller keeps.
 """
 
 import gc
 import random
+import weakref
 from fractions import Fraction
 
-from tropinv import EdgePoint, PolarizedMetricGraph, build, circuit, convergence_report, green, phi
+from tropinv import (
+    EdgePoint,
+    PolarizedMetricGraph,
+    build,
+    circuit,
+    convergence_report,
+    graphs,
+    green,
+    insert_point,
+    phi,
+    report,
+)
 from tropinv.potentials import canonical_measure, potential_profile
 
 from helpers import count_solves, random_connected_graph
@@ -19,15 +32,19 @@ def _live_graphs():
     return sum(isinstance(obj, PolarizedMetricGraph) for obj in gc.get_objects())
 
 
-def test_memory_bounded_by_live_graphs():
+def _interior_pairs(g):
     rng = random.Random(8)
-    g = build("VI", (1, 2, 3))
 
     def interior():
         e = rng.choice(g.edges)
         return EdgePoint(e.id, e.length * Fraction(rng.randint(1, 12), 13))
 
-    pairs = [(interior(), interior()) for _ in range(20)]
+    return [(interior(), interior()) for _ in range(20)]
+
+
+def test_memory_bounded_by_live_graphs():
+    g = build("VI", (1, 2, 3))
+    pairs = _interior_pairs(g)
     gc.collect()
     before = _live_graphs()
     for x, y in pairs:
@@ -37,17 +54,31 @@ def test_memory_bounded_by_live_graphs():
     assert _live_graphs() <= before
 
 
+def test_refined_graph_frees_its_parent():
+    g = build("VI", (1, 2, 3))
+    parent = weakref.ref(g)
+    refined, _ = insert_point(g, EdgePoint(g.edges[0].id, Fraction(1, 2)))
+    phi(refined)
+    del g
+    gc.collect()
+    assert parent() is None
+
+
 def _canonical_misses():
     return canonical_measure.cache_info().misses
 
 
+def _pinned_graph():
+    return random_connected_graph(random.Random(2015), genus_min=3, genus_max=5, max_vertices=5)
+
+
 def test_phi_solve_count_pinned(monkeypatch):
     # V=5, E=7 with one bridge: one solve, one canonical measure and one
-    # bridge search per edge, all for the graph itself; the spot-check
-    # refinements of the six non-bridge edges' profiles inherit the table,
-    # r(e) and the admissible measure from it; each profile is anchored at
-    # its endpoint potentials, so no cross-edge quadratic is built
-    g = random_connected_graph(random.Random(2015), genus_min=3, genus_max=5, max_vertices=5)
+    # bridge search per edge, all for the graph itself; the m(e)/5 spot
+    # checks of the six non-bridge edges' profiles read point rows of its
+    # table; each profile is anchored at its endpoint potentials, so no
+    # cross-edge quadratic is built
+    g = _pinned_graph()
     solves = count_solves(monkeypatch)
     bridge_searches = []
     search = circuit.is_bridge
@@ -64,10 +95,25 @@ def test_phi_solve_count_pinned(monkeypatch):
 
 
 def test_oracle_ladder_solve_count_pinned(monkeypatch):
-    # every quadrature midpoint refines the graph and extends its table
+    # every quadrature midpoint reads a point row of the graph's own table
     g = build("VI", (1, 2, 3))
     solves = count_solves(monkeypatch)
     misses = _canonical_misses()
     convergence_report(g, "phi", (8, 16))
     assert len(solves) == 1
     assert _canonical_misses() - misses == 1
+
+
+def test_interior_points_build_no_refined_graph(monkeypatch):
+    # with_points and insert_point split through graphs._split_edge
+    splits = []
+    split = graphs._split_edge
+    monkeypatch.setattr(graphs, "_split_edge", lambda *args: splits.append(args[1:]) or split(*args))
+    g = _pinned_graph()
+    phi(g)
+    report(g)
+    g = build("VI", (1, 2, 3))
+    for x, y in _interior_pairs(g):
+        green(g, x, y)
+    convergence_report(g, "phi", (8, 16))
+    assert splits == []

@@ -23,10 +23,8 @@ from tropinv import (
 from tropinv.circuit import (
     edge_terminal_integral,
     edge_terminal_quadratic,
-    excised_edge_resistance,
     resistance_between_vertices,
 )
-from tropinv.graphs import rebuilt
 from tropinv.potentials import _potential_at_vertex
 
 from helpers import (
@@ -120,7 +118,7 @@ def test_potential_examples():
 def test_potential_profile_loop():
     poly = potential_profile(loop(), "e")
     # f(s) = (s(1-s) + 1/6)/2
-    assert poly.coeffs == (Fraction(1, 12), Fraction(1, 2), Fraction(-1, 2), 0)
+    assert (poly.c, poly.b, poly.a) == (Fraction(1, 12), Fraction(1, 2), Fraction(-1, 2))
     assert poly.evaluate(0) == Fraction(1, 12)
     assert poly.evaluate(Fraction(1, 2)) == Fraction(5, 24)
 
@@ -132,7 +130,7 @@ def test_potential_profile_tree_edge_is_linear():
         [("e1", ("a", "b"), 1), ("e2", ("b", "c"), 2), ("e3", ("c", "d"), 1)],
     )
     poly = potential_profile(g, "e2")
-    assert poly.coeffs[2] == 0 and poly.coeffs[3] == 0
+    assert poly.a == 0
 
 
 def test_potential_profile_two_loops():
@@ -217,34 +215,34 @@ def test_green_via_resistance_representation():
 
 
 def test_refined_graph_inherits_exactly():
-    # what a refined graph takes from its parent (r(e), the admissible
-    # measure, the potential weights) and the closed-form edge integral,
-    # against the same graph rebuilt from scratch: r(e) from its own solve
-    # and bridge search, the measure from the definitional form, and the
-    # potential as the definitional sum over atoms and anchored quadratics
+    # the potential at interior points of a graph (its point rows and
+    # shifted weights) against the definitional sum over atoms and anchored
+    # quadratics on the graph refined at those points, which solves its own
+    # table; and on that graph, every vertex potential (one weighted row
+    # sum) and the closed-form edge integral against the same quadratics
     seen = set()
-    for g, kind, refined in refined_cases(random.Random(2014), 30):
+    for g, kind, refined, points, vids in refined_cases(random.Random(2014), 30):
         seen.add(kind)
         if len(g.vertices) == 1:
             seen.add("one vertex")
-        fresh = rebuilt(refined)
-        mu, mu_fresh = admissible_measure(refined), admissible_measure(fresh)
-        assert mu.atoms() == mu_fresh.atoms()
-        assert mu.densities() == mu_fresh.densities()
-        for e in refined.edges:
-            assert excised_edge_resistance(refined, e.id) == excised_edge_resistance(fresh, e.id), e.id
-        for v in refined.vertex_ids():
-            expected = sum(
-                (mass * resistance_between_vertices(fresh, u, v) for u, mass in mu_fresh.atoms()), Fraction(0)
+        mu = admissible_measure(refined)
+
+        def definitional(v):
+            return sum(
+                (mass * resistance_between_vertices(refined, u, v) for u, mass in mu.atoms()), Fraction(0)
             ) + sum(
-                (d * edge_terminal_quadratic(fresh, eid, v).integral(fresh.edge(eid).length)
-                 for eid, d in mu_fresh.densities()),
+                (d * edge_terminal_quadratic(refined, eid, v).integral(refined.edge(eid).length)
+                 for eid, d in mu.densities()),
                 Fraction(0),
             )
-            assert _potential_at_vertex(refined, v) == expected, v
+
+        for x, xv in zip(points, vids):
+            assert potential(g, x) == definitional(xv), x
+        for v in refined.vertex_ids():
+            assert _potential_at_vertex(refined, v) == definitional(v), v
             for e in refined.edges:
                 assert edge_terminal_integral(refined, e.id, v) == edge_terminal_quadratic(
-                    fresh, e.id, v
+                    refined, e.id, v
                 ).integral(e.length), (e.id, v)
     assert seen >= REFINED_KINDS
 
@@ -256,10 +254,11 @@ def test_profile_matches_definitional_sum():
     rng = random.Random(2016)
     graphs = [random_connected_graph(rng, genus_min=1, genus_max=5, max_vertices=6) for _ in range(30)]
     seen = {"one vertex" for g in graphs if len(g.vertices) == 1}
-    for g, kind, refined in refined_cases(random.Random(2014), 30):
+    for g, kind, refined, _, _ in refined_cases(random.Random(2014), 30):
         seen.add(kind)
         graphs += [g, refined]
     for g in dict.fromkeys(graphs):
         for e in g.edges:
-            assert potential_profile(g, e.id).coeffs == definitional_profile(g, e.id), e.id
+            profile = potential_profile(g, e.id)
+            assert (profile.c, profile.b, profile.a) == definitional_profile(g, e.id), e.id
     assert seen >= REFINED_KINDS

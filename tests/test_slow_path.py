@@ -2,9 +2,9 @@
 
 Everything here goes through its own certified interpolation (3 samples,
 checked at both endpoints and at a witness point) of two-point resistances,
-each read from a Laplacian solve of the refined graph built from scratch;
+each read from a Laplacian solve of the graph refined at its two points;
 none of the endpoint-anchored curvature quadratics the production path uses,
-and none of the tables it derives for refined graphs from their parents.
+and none of the point rows it interpolates from the vertex table.
 Exact agreement of epsilon and phi between the two engines certifies the
 fast path.
 """
@@ -25,16 +25,13 @@ from tropinv import (
     with_points,
 )
 from tropinv.circuit import excised_edge_resistance, resistance_between_vertices
-from tropinv.graphs import rebuilt
 
 from helpers import random_connected_graph
 
 
 def _fresh_resistance(g, x, y):
-    """r(x, y) from a solve of the refined graph rebuilt without its parent record."""
+    """r(x, y) from the Laplacian solve of the graph refined at x and y."""
     refined, (xi, yi) = with_points(g, [x, y])
-    if refined is not g:
-        refined = rebuilt(refined)
     return resistance_between_vertices(refined, xi, yi)
 
 
