@@ -56,9 +56,7 @@ from .circuit import (
     ResistanceValue,
     excised_edge_resistance,
     foster_sum,
-    is_bridge,
     resistance,
-    resistance_profile,
     same_edge_resistance,
 )
 from .potentials import (

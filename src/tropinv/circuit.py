@@ -19,22 +19,27 @@ gives r(x, y); two points of one edge use the closed form
 `same_edge_resistance`.  So a point-level value costs O(V) once the vertex
 table is known, and no refined graph is built.
 
-Two routes produce those quadratics.  `resistance_profile` interpolates three
-interior samples and certifies the result against the endpoints and a fourth
-sample.  The internal fast route anchors the quadratic at its endpoint values
-and uses the curvature -2/(m(e) + r(e)), where r(e) is the resistance between
-the edge's endpoints with its interior removed; both routes agree exactly and
-the test suite asserts so.  Integrated over its edge, the anchored quadratic
-of a vertex v is the trapezoid value m(e) (r(p, v) + r(q, v)) / 2 plus an
-offset m(e)^3 / (6 (m(e) + r(e))) that does not depend on v
-(`edge_terminal_integral`).
+One edge constant carries everything else an edge needs:
+
+    kappa(e) = (m(e) - r(p, q)) / m(e)^2 = 1 / (m(e) + r(e))
+
+(`edge_density`), with r(p, q) read from the vertex table and r(e) the
+resistance between e's ends with its interior removed.  It is the density
+of the canonical measure on e, 1/m(e) on a loop and 0 on a bridge, so no
+caller searches for bridges or handles an infinite r(e); only
+`excised_edge_resistance`, r(e) = 1/kappa(e) - m(e), reports infinity.  The
+restriction of a resistance function r(., v) to e is the quadratic anchored
+at its endpoint values with leading coefficient -kappa(e)
+(`edge_terminal_quadratic`); integrated over e it is the trapezoid value
+m(e) (r(p, v) + r(q, v)) / 2 plus kappa(e) m(e)^3 / 6, which does not
+depend on v (`edge_terminal_integral`).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .errors import OffsetOutOfRange, ProfileSampleMismatch
+from .errors import OffsetOutOfRange
 from .graphs import (
     EdgePoint,
     VertexPoint,
@@ -132,15 +137,17 @@ def _vertex_table(g):
     return index, table
 
 
-def _interpolated(e, s, row_p, row_q, r_pq):
-    """(1 - t) row_p + t row_q + t (1 - t) (m(e) - r(p, q)), entry by entry, t = s/m(e).
+def _interpolated(g, eid, s, row_p, row_q):
+    """(1 - t) row_p + t row_q + kappa(e) s (m(e) - s), entry by entry, t = s/m(e).
 
-    The resistances from the point at offset s on e = (p, q) to the points
-    whose resistances from p and q are row_p and row_q; none of them may lie
-    inside e.
+    The row formula of the module docstring, whose bulge t (1 - t) (m(e) -
+    r(p, q)) is kappa(e) s (m(e) - s): the resistances from the point at
+    offset s on e = (p, q) to the points whose resistances from p and q are
+    row_p and row_q; none of them may lie inside e.
     """
-    t = s / e.length
-    bulge = t * (1 - t) * (e.length - r_pq)
+    length = g.edge(eid).length
+    t = s / length
+    bulge = edge_density(g, eid) * s * (length - s)
     return tuple((1 - t) * a + t * b + bulge for a, b in zip(row_p, row_q))
 
 
@@ -154,9 +161,19 @@ def _point_row(g, x):
     index, table = _vertex_table(g)
     if isinstance(x, VertexPoint):
         return index, table[index[x.vertex]]
-    e = g.edge(x.edge)
-    row_p, row_q = (table[index[end]] for end in e.ends)
-    return index, _interpolated(e, x.offset, row_p, row_q, row_p[index[e.ends[1]]])
+    p, q = g.edge(x.edge).ends
+    return index, _interpolated(g, x.edge, x.offset, table[index[p]], table[index[q]])
+
+
+def _row_entry(g, index, row, y):
+    """y's entry of a point row (`_point_row`), for a checked point y.
+
+    y must not share an edge with the row's point (`_interpolated`).
+    """
+    if isinstance(y, VertexPoint):
+        return row[index[y.vertex]]
+    p, q = g.edge(y.edge).ends
+    return _interpolated(g, y.edge, y.offset, (row[index[p]],), (row[index[q]],))[0]
 
 
 def _offset_on(g, point, eid):
@@ -183,9 +200,7 @@ def resistance(g, x, y):
 
     Two points of one edge (an end counts as lying on the edge) use
     `same_edge_resistance`.  Any other pair reads y's entry of x's row
-    (`_point_row`); for an interior y that entry is the same row formula
-    on y's edge, applied to x's row.  Symmetric, and zero exactly when
-    x = y.
+    (`_point_row`, `_row_entry`).  Symmetric, and zero exactly when x = y.
     """
     require_connected(g)
     x = check_point(g, x)
@@ -197,74 +212,49 @@ def resistance(g, x, y):
             s, t = _offset_on(g, x, point.edge), _offset_on(g, y, point.edge)
             if s is not None and t is not None:
                 return same_edge_resistance(g, point.edge, s, t)
-    index, row = _point_row(g, x)
-    if isinstance(y, VertexPoint):
-        return row[index[y.vertex]]
-    e = g.edge(y.edge)
-    p, q = (index[end] for end in e.ends)
-    return _interpolated(e, y.offset, (row[p],), (row[q],), _vertex_table(g)[1][p][q])[0]
+    return _row_entry(g, *_point_row(g, x), y)
 
 
 # ---------------------------------------------------------------------------
-# excised-edge resistance r(e)
+# the edge constant kappa(e) and the excised-edge resistance r(e)
 # ---------------------------------------------------------------------------
-
-def is_bridge(g, eid):
-    """Connectivity search in the graph without e; loops are never bridges."""
-    e = g.edge(eid)
-    if e.is_loop:
-        return False
-    adjacency = {v.id: set() for v in g.vertices}
-    for other in g.edges:
-        if other.id == eid:
-            continue
-        adjacency[other.ends[0]].add(other.ends[1])
-        adjacency[other.ends[1]].add(other.ends[0])
-    target = e.ends[1]
-    stack = [e.ends[0]]
-    seen = {e.ends[0]}
-    while stack:
-        u = stack.pop()
-        if u == target:
-            return False
-        for w in adjacency[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return True
-
 
 @memoized
+def edge_density(g, eid):
+    """kappa(e) = (m(e) - r(p, q)) / m(e)^2, with r(p, q) read from the vertex table.
+
+    This is the canonical measure's density 1/(m(e) + r(e)) on every kind of
+    edge at once: a loop has r(p, q) = 0, so kappa = 1/m(e); a bridge carries
+    all current between its ends, so r(p, q) = m(e) and kappa = 0; any other
+    edge is in parallel with the excised network, so
+    m(e) - r(p, q) = m(e)^2 / (m(e) + r(e)).
+    """
+    e = g.edge(eid)
+    r_pq = resistance_between_vertices(g, e.ends[0], e.ends[1])
+    return (e.length - r_pq) / e.length**2
+
+
 def excised_edge_resistance(g, eid):
     """Resistance between e's endpoints in the graph with e's interior removed.
 
-    Loops give 0 (the endpoints coincide); bridges give infinity.  Otherwise
-    the whole graph is e in parallel with the excised network, so
-    r(e) = m(e) * r(p,q) / (m(e) - r(p,q)) with r(p,q) the full-graph value.
+    r(e) = 1/kappa(e) - m(e), which gives 0 on a loop; kappa(e) = 0 exactly
+    on a bridge, whose excised network leaves the ends disconnected, so r(e)
+    is infinite.
     """
-    e = g.edge(eid)
-    if e.is_loop:
-        return ResistanceValue.finite(0)
-    if is_bridge(g, eid):
+    kappa = edge_density(g, eid)
+    if kappa == 0:
         return ResistanceValue.infinite()
-    r_full = resistance_between_vertices(g, e.ends[0], e.ends[1])
-    # not a bridge, so the parallel decomposition gives r_full < m(e) strictly
-    return ResistanceValue.finite(e.length * r_full / (e.length - r_full))
+    return ResistanceValue.finite(1 / kappa - g.edge(eid).length)
 
 
 def foster_sum(g):
-    """Sum of m(e)/(m(e)+r(e)) over edges; bridge terms contribute 0.
+    """Sum of m(e) kappa(e) = m(e)/(m(e)+r(e)) over edges; bridges contribute 0.
 
     Equals the first Betti number b1 on every connected graph, which is the
     identity certifying that the canonical measure has total mass one.
     """
     require_connected(g)
-    total = Fraction(0)
-    for e in g.edges:
-        r = excised_edge_resistance(g, e.id)
-        if not r.is_infinite:
-            total += e.length / (e.length + r.value)
-    return total
+    return sum((e.length * edge_density(g, e.id) for e in g.edges), _ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +265,8 @@ def same_edge_resistance(g, eid, s, t):
     """Resistance between two points of the same edge, in closed form.
 
     With u = |s-t|, L = m(e) and r = r(e): the direct arc u is in parallel
-    with the complementary route L - u + r, giving u*(L-u+r)/(L+r); when e is
-    a bridge the complementary route is gone and the value is u.
+    with the complementary route L - u + r, giving u (L-u+r)/(L+r), which is
+    u - u^2 kappa(e); on a bridge kappa(e) = 0 and the value is u.
     """
     e = g.edge(eid)
     s = Fraction(s)
@@ -287,92 +277,24 @@ def same_edge_resistance(g, eid, s, t):
                 f"offset {format_rational(value)} outside [0, {format_rational(e.length)}] on edge {eid!r}"
             )
     u = abs(s - t)
-    r = excised_edge_resistance(g, eid)
-    if r.is_infinite:
-        return u
-    return u * (e.length - u + r.value) / (e.length + r.value)
-
-
-def _quadratic_through(eid, samples):
-    """Exact quadratic through three (s, value) pairs (Lagrange expansion)."""
-    (s1, v1), (s2, v2), (s3, v3) = samples
-    a = Fraction(0)
-    b = Fraction(0)
-    c = Fraction(0)
-    for (si, vi), sj, sk in (
-        ((s1, v1), s2, s3),
-        ((s2, v2), s1, s3),
-        ((s3, v3), s1, s2),
-    ):
-        den = (si - sj) * (si - sk)
-        w = vi / den
-        a += w
-        b -= w * (sj + sk)
-        c += w * sj * sk
-    return QuadraticProfile(eid, a, b, c)
-
-
-def resistance_profile(g, x, eid):
-    """The map s -> resistance(x, point at offset s on e), as an exact quadratic.
-
-    Built by interpolation through the samples at m(e)/4, m(e)/2, 3m(e)/4.
-    Certified: the endpoint evaluations must equal the vertex resistances and
-    a fourth interior sample must lie exactly on the quadratic; any mismatch
-    raises ProfileSampleMismatch and means a bug, not bad data.
-    """
-    e = g.edge(eid)
-    x = check_point(g, x)
-    if isinstance(x, EdgePoint) and x.edge == eid:
-        raise ValueError(f"point lies interior to edge {eid!r}; split the edge at the point first")
-    length = e.length
-    samples = []
-    for k in (1, 2, 3):
-        s = length * k / 4
-        samples.append((s, resistance(g, x, EdgePoint(eid, s))))
-    profile = _quadratic_through(eid, samples)
-    for s, expected in (
-        (_ZERO, resistance(g, x, VertexPoint(e.ends[0]))),
-        (length, resistance(g, x, VertexPoint(e.ends[1]))),
-        (length / 5, resistance(g, x, EdgePoint(eid, length / 5))),
-    ):
-        if profile.evaluate(s) != expected:
-            raise ProfileSampleMismatch(
-                f"resistance profile on edge {eid!r} is off at s={format_rational(s)}: "
-                f"{format_rational(profile.evaluate(s))} != {format_rational(expected)}"
-            )
-    return profile
+    return u - u * u * edge_density(g, eid)
 
 
 # ---------------------------------------------------------------------------
-# closed-form quadratics (anchored, curvature -2/(m+r)); the two integral
-# quadratics are the reference route that tests sum into potential profiles
+# closed-form quadratics (anchored, leading coefficient -kappa(e)); the two
+# integral quadratics are the reference route that tests sum into potential
+# profiles
 # ---------------------------------------------------------------------------
-
-@memoized
-def _curvature_a(g, eid):
-    """Leading coefficient of any resistance restriction to e: -1/(m+r), 0 on bridges."""
-    e = g.edge(eid)
-    r = excised_edge_resistance(g, eid)
-    if r.is_infinite:
-        return _ZERO
-    return Fraction(-1) / (e.length + r.value)
-
-
-@memoized
-def _integral_offset(g, eid):
-    """off(e) = m(e)^3 / (6 (m(e) + r(e))), 0 on bridges; see `edge_terminal_integral`."""
-    return -_curvature_a(g, eid) * g.edge(eid).length ** 3 / 6
-
 
 @memoized
 def edge_terminal_quadratic(g, eid, vid):
     """s -> resistance(point at offset s on e, vertex v), closed form.
 
-    Anchored at the endpoint resistances with the universal curvature; agrees
-    exactly with `resistance_profile` (asserted by the tests).
+    Anchored at the endpoint resistances with the leading coefficient
+    -kappa(e), which every resistance restriction to e shares.
     """
     e = g.edge(eid)
-    a = _curvature_a(g, eid)
+    a = -edge_density(g, eid)
     c = resistance_between_vertices(g, e.ends[0], vid)
     at_end = resistance_between_vertices(g, e.ends[1], vid)
     b = (at_end - c - a * e.length**2) / e.length
@@ -384,27 +306,26 @@ def edge_terminal_integral(g, eid, vid):
     """Integral over e = (p, q) of resistance(., vertex v).
 
     The anchored quadratic integrates to a L^3/3 + b L^2/2 + c L with
-    b = (r(q, v) - c - a L^2)/L, which is L (r(p, v) + r(q, v))/2 - a L^3/6:
-    the trapezoid value plus `_integral_offset`, which does not depend on v.
-    For a loop this is L r(p, v) + L^2/6.
+    b = (r(q, v) - c - a L^2)/L and a = -kappa(e), which is the trapezoid
+    value L (r(p, v) + r(q, v))/2 plus kappa(e) L^3/6, an offset that does
+    not depend on v.  For a loop this is L r(p, v) + L^2/6.
     """
     e = g.edge(eid)
     p = resistance_between_vertices(g, e.ends[0], vid)
     q = resistance_between_vertices(g, e.ends[1], vid)
-    return e.length * (p + q) / 2 + _integral_offset(g, eid)
+    return e.length * (p + q) / 2 + edge_density(g, eid) * e.length**3 / 6
 
 
 @memoized
 def cross_integral_quadratic(g, eid, other_eid):
     """s on e -> integral over e' of resistance(point at s on e, .).
 
-    Quadratic in s: anchored at the endpoint integrals, with curvature
-    -2*m(e')/(m(e)+r(e)) obtained by integrating the universal pointwise
-    curvature over e'.
+    Quadratic in s: anchored at the endpoint integrals, with leading
+    coefficient -kappa(e) m(e') from integrating the pointwise one over e'.
     """
     e = g.edge(eid)
     other = g.edge(other_eid)
-    a = _curvature_a(g, eid) * other.length
+    a = -edge_density(g, eid) * other.length
     c = edge_terminal_integral(g, other_eid, e.ends[0])
     at_end = edge_terminal_integral(g, other_eid, e.ends[1])
     b = (at_end - c - a * e.length**2) / e.length
@@ -415,19 +336,11 @@ def cross_integral_quadratic(g, eid, other_eid):
 def same_edge_integral_quadratic(g, eid):
     """s on e -> integral over e of resistance(point at s, .) along e itself.
 
-    Expanding the closed form gives [r s^2 - L r s + L^2 (L/6 + r/2)] / (L+r);
-    the bridge limit is s^2 - L s + L^2/2.
+    Integrating u - u^2 kappa over u in [0, s] and [0, L - s] gives
+    (1 - L kappa) s^2 - L (1 - L kappa) s + L^2/2 - L^3 kappa/3; on a bridge
+    that is s^2 - L s + L^2/2.
     """
-    e = g.edge(eid)
-    length = e.length
-    r = excised_edge_resistance(g, eid)
-    if r.is_infinite:
-        return QuadraticProfile(eid, Fraction(1), -length, length**2 / 2)
-    denom = length + r.value
-    return QuadraticProfile(
-        eid,
-        r.value / denom,
-        -length * r.value / denom,
-        length**2 * (length / 6 + r.value / 2) / denom,
-    )
-
+    length = g.edge(eid).length
+    kappa = edge_density(g, eid)
+    lead = 1 - length * kappa
+    return QuadraticProfile(eid, lead, -length * lead, length**2 / 2 - length**3 * kappa / 3)

@@ -39,13 +39,17 @@ from .rational import as_fraction, format_rational
 class NodeTypeCounts:
     h: int
     xi0_fixed: Fraction
-    xi: tuple  # indexed j = 0 .. (h-1)//2
-    delta_i: tuple  # indexed i = 1 .. h//2
+    xi: tuple  # indexed j = 0 .. (h-1)//2, trailing zeros stripped
+    delta_i: tuple  # indexed i = 1 .. h//2, trailing zeros stripped
     delta0: Fraction
 
     @classmethod
     def build(cls, h, xi0_fixed=0, xi=(), delta_i=(), delta0=None):
-        """Normalize, pad lists to their genus-determined lengths, validate."""
+        """Normalize, strip trailing zeros from the lists, validate.
+
+        A missing entry reads as 0, so nothing is allocated in proportion
+        to h; `to_json` pads the lists to their genus-determined lengths.
+        """
         if not isinstance(h, int) or h < 2:
             raise InconsistentCounts(f"genus must be an integer >= 2, got {h!r}")
         xi_len = (h - 1) // 2 + 1
@@ -56,8 +60,10 @@ class NodeTypeCounts:
             raise InconsistentCounts(
                 f"genus {h} allows {xi_len} xi entries and {di_len} delta_i entries"
             )
-        xi += [Fraction(0)] * (xi_len - len(xi))
-        delta_i += [Fraction(0)] * (di_len - len(delta_i))
+        while xi and xi[-1] == 0:
+            xi.pop()
+        while delta_i and delta_i[-1] == 0:
+            delta_i.pop()
         xi0 = as_fraction(xi0_fixed)
         expected_delta0 = xi0 + 2 * sum(xi, Fraction(0))
         if delta0 is None:
@@ -85,17 +91,21 @@ class NodeTypeCounts:
         return {
             "h": self.h,
             "xi0_fixed": format_rational(self.xi0_fixed),
-            "xi": [format_rational(x) for x in self.xi],
-            "delta_i": [format_rational(x) for x in self.delta_i],
+            "xi": [format_rational(x) for x in self._padded(self.xi, (self.h - 1) // 2 + 1)],
+            "delta_i": [format_rational(x) for x in self._padded(self.delta_i, self.h // 2)],
             "delta0": format_rational(self.delta0),
         }
+
+    @staticmethod
+    def _padded(values, length):
+        return values + (Fraction(0),) * (length - len(values))
 
     @classmethod
     def from_json(cls, obj, genus):
         """Counts for a graph of the given genus; another 'h' is a GenusMismatch.
 
-        The genus is compared before the count lists are padded to their
-        genus-determined lengths, so a huge 'h' fails without allocating.
+        The genus is compared before the counts are built, so a huge 'h'
+        fails before anything else is read.
         """
         if not isinstance(obj, dict) or "h" not in obj:
             raise ParseError("counts JSON must be an object with an 'h' field")

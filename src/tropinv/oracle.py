@@ -166,28 +166,30 @@ def convergence_report(g, quantity="phi", orders=(8, 16, 32, 64), tolerance=1e-3
 # ---------------------------------------------------------------------------
 
 def _potential_quadrature(g, x, order, mu):
+    """Midpoint sum of r(x, .) against mu, from x's point row read once.
+
+    A sample on an edge through x is u - u^2 kappa(e), u its distance from x
+    along e (`circuit.same_edge_resistance`); any other sample is its entry
+    of x's row (`circuit._row_entry`).
+    """
+    index, row = circuit._point_row(g, x)
     total = Fraction(0)
     for vid, mass in mu.atoms():
-        total += mass * circuit.resistance(g, x, VertexPoint(vid))
+        total += mass * row[index[vid]]
     for eid, density in mu.densities():
         length = g.edge(eid).length
-        step = length / order
+        samples = _midpoints(length, order)
         acc = Fraction(0)
         base = circuit._offset_on(g, x, eid)
         if base is not None:
-            # in-edge samples: u(L-u+r)/(L+r) directly, no per-sample dispatch
-            r = circuit.excised_edge_resistance(g, eid)
-            rv = r.value
-            for s in _midpoints(length, order):
+            kappa = circuit.edge_density(g, eid)
+            for s in samples:
                 u = abs(s - base)
-                if rv is None:
-                    acc += u
-                else:
-                    acc += u * (length - u + rv) / (length + rv)
+                acc += u - u * u * kappa
         else:
-            for s in _midpoints(length, order):
-                acc += circuit.resistance(g, x, EdgePoint(eid, s))
-        total += density * step * acc
+            for s in samples:
+                acc += circuit._row_entry(g, index, row, EdgePoint(eid, s))
+        total += density * length / order * acc
     return total
 
 

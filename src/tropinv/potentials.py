@@ -1,9 +1,9 @@
 """Measures, potentials and the Arakelov-Green function of a polarized graph.
 
-The canonical measure puts -K_can/2 on the vertices plus a uniform density
-1/(m(e)+r(e)) on each edge (0 on bridges); it is a probability measure.  The
-admissible measure of a genus-h graph is (1/2h)(delta_{K_q} + 2 mu_can), also
-of mass one.  The potential f(x) integrates the resistance kernel against the
+The canonical measure puts -K_can/2 on the vertices plus the uniform density
+kappa(e) = 1/(m(e)+r(e)) on each edge (`circuit.edge_density`, 0 on a
+bridge); it is a probability measure.  The admissible measure of a genus-h
+graph is (1/2h)(delta_{K_q} + 2 mu_can), also of mass one.  The potential f(x) integrates the resistance kernel against the
 admissible measure; the Green function is then
 
     g(x, y) = (f(x) + f(y) - r(x, y)) / 2 - c,
@@ -17,7 +17,7 @@ f(v) = sum over u of w(u) r(u, v) + C (`_potential_weights`).  At an interior
 point x the same sum runs over x's row (`circuit._point_row`), with the
 weights and the constant shifted as if x were a vertex (`potential`), so
 neither needs a refined graph.  On an edge, f is the quadratic anchored at
-its two endpoint potentials with leading coefficient d(e) - 1/(m(e) + r(e))
+its two endpoint potentials with leading coefficient d(e) - kappa(e)
 (`potential_profile`), so a profile costs O(1) once the vertex potentials
 are known.
 """
@@ -80,15 +80,11 @@ class Measure:
 
 @memoized
 def canonical_measure(g):
-    """Atoms -K_can/2 plus densities 1/(m(e)+r(e)); total mass exactly one."""
+    """Atoms -K_can/2 plus densities kappa(e); total mass exactly one."""
     require_connected(g)
     k_can = canonical_divisor(g)
     atoms = {v.id: -k_can[v.id] / 2 for v in g.vertices}
-    densities = {}
-    for e in g.edges:
-        r = circuit.excised_edge_resistance(g, e.id)
-        if not r.is_infinite:
-            densities[e.id] = 1 / (e.length + r.value)
+    densities = {e.id: circuit.edge_density(g, e.id) for e in g.edges}
     measure = Measure(g, atoms, densities, "canonical")
     if measure.total_mass != 1:
         raise CrosscheckFailure(
@@ -135,9 +131,9 @@ def _potential_weights(g):
     """(w, C) with f(v) = sum over u of w(u) r(u, v), plus C, at every vertex v.
 
     Integrating r(., v) over an edge e = (p, q) gives m(e)(r(p, v) + r(q, v))/2
-    plus off(e) (`circuit.edge_terminal_integral`), so w(u) is the atom at u
-    plus half the mass of each edge end at u (a loop puts its whole mass on
-    its vertex), and C is the sum of density * off(e).
+    plus kappa(e) m(e)^3/6 (`circuit.edge_terminal_integral`), so w(u) is
+    the atom at u plus half the mass of each edge end at u (a loop puts its
+    whole mass on its vertex), and C is the sum of density * kappa(e) m(e)^3/6.
     """
     mu = admissible_measure(g)
     weights = dict(mu.atoms())
@@ -147,7 +143,7 @@ def _potential_weights(g):
         half = density * e.length / 2
         for end in e.ends:
             weights[end] = weights.get(end, _ZERO) + half
-        offset += density * circuit._integral_offset(g, eid)
+        offset += density * circuit.edge_density(g, eid) * e.length**3 / 6
     return weights, offset
 
 
@@ -166,9 +162,8 @@ def potential(g, x):
     f(x) is the weighted sum of `_potential_weights` over x's row
     (`circuit._point_row`), with the weights and the constant of the graph
     refined at x: x takes d L/2 (its own resistance is 0), p gives up
-    d (L - s)/2 and q gives up d s/2, and C falls by
-    d L s (L - s) / (2 (L + r(e))), the amount by which the offsets of
-    the two halves fall short of off(e).
+    d (L - s)/2 and q gives up d s/2, and C falls by d kappa(e) L s (L - s)/2,
+    the amount by which the offsets of the two halves fall short of e's.
     """
     require_positive_genus(g)
     x = check_point(g, x)
@@ -183,7 +178,7 @@ def potential(g, x):
     e = g.edge(x.edge)
     length, s = e.length, x.offset
     r_p, r_q = (row[index[end]] for end in e.ends)
-    shift = circuit._curvature_a(g, x.edge) * length * s * (length - s) - (length - s) * r_p - s * r_q
+    shift = -circuit.edge_density(g, x.edge) * length * s * (length - s) - (length - s) * r_p - s * r_q
     return value + density * shift / 2
 
 
@@ -193,7 +188,7 @@ def potential_profile(g, eid):
 
     f on e is the measure-weighted sum of resistance restrictions to e; with
     the mass-one identity their leading coefficients sum to
-    A = d(e) - 1/(m(e) + r(e)), the density of e plus `circuit._curvature_a`
+    A = d(e) - kappa(e), the density of e minus `circuit.edge_density`
     (0 on a bridge).  The endpoint potentials fix the rest:
 
         f(s) = f(p) + b s + A s^2,  b = (f(q) - f(p) - A m(e)^2) / m(e).
@@ -205,7 +200,7 @@ def potential_profile(g, eid):
     require_positive_genus(g)
     e = g.edge(eid)
     length = e.length
-    a = admissible_measure(g).density(eid) + circuit._curvature_a(g, eid)
+    a = admissible_measure(g).density(eid) - circuit.edge_density(g, eid)
     f_p, f_q = (_potential_at_vertex(g, end) for end in e.ends)
     poly = circuit.QuadraticProfile(eid, a, (f_q - f_p - a * length**2) / length, f_p)
     s = length / 5

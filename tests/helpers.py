@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from tropinv import PolarizedMetricGraph, genus, is_stable, linalg
+from tropinv import EdgePoint, PolarizedMetricGraph, VertexPoint, genus, is_stable, linalg
 
 
 def random_rational(rng, max_num=12, max_den=12):
@@ -56,6 +56,72 @@ def random_connected_graph(rng, genus_min=1, genus_max=5, max_vertices=5, stable
             return g
 
 
+def _reachable(g, start, without):
+    """The vertices reachable from start in g with the edge `without` removed."""
+    rest = [x.ends for x in g.edges if x.id != without]
+    reachable = {start}
+    changed = True
+    while changed:
+        changed = False
+        for a, b in rest:
+            if (a in reachable) != (b in reachable):
+                reachable |= {a, b}
+                changed = True
+    return reachable
+
+
+def is_bridge(g, eid):
+    """Reference bridge test: a graph search in g without e; a loop is never a bridge."""
+    e = g.edge(eid)
+    return not e.is_loop and e.ends[1] not in _reachable(g, e.ends[0], eid)
+
+
+def excised_by_removal(g, eid):
+    """r(e) by definition: drop e and solve its ends' component; None on a bridge."""
+    from tropinv.circuit import resistance_between_vertices
+
+    e = g.edge(eid)
+    if e.is_loop:
+        return Fraction(0)
+    reachable = _reachable(g, e.ends[0], eid)
+    if e.ends[1] not in reachable:
+        return None
+    sub = PolarizedMetricGraph.build(
+        [(v.id, v.q) for v in g.vertices if v.id in reachable],
+        [(x.id, x.ends, x.length) for x in g.edges if x.id != eid and x.ends[0] in reachable],
+    )
+    return resistance_between_vertices(sub, e.ends[0], e.ends[1])
+
+
+def quad_through(samples):
+    """(a, b, c) of the exact quadratic a s^2 + b s + c through three (s, value) pairs."""
+    (s1, _), (s2, _), (s3, _) = samples
+    a = b = c = Fraction(0)
+    for (si, vi), sj, sk in ((samples[0], s2, s3), (samples[1], s1, s3), (samples[2], s1, s2)):
+        w = vi / ((si - sj) * (si - sk))
+        a += w
+        b -= w * (sj + sk)
+        c += w * sj * sk
+    return a, b, c
+
+
+def certified_profile(g, x, eid, resistance_fn):
+    """(a, b, c) of s -> resistance_fn(g, x, point at s on e), from the samples at m(e)/4, m(e)/2, 3m(e)/4.
+
+    Certified against the endpoint values and a fourth sample at m(e)/5.
+    """
+    e = g.edge(eid)
+    samples = [e.length * k / 4 for k in (1, 2, 3)]
+    a, b, c = quad_through([(s, resistance_fn(g, x, EdgePoint(eid, s))) for s in samples])
+    for s, y in (
+        (Fraction(0), VertexPoint(e.ends[0])),
+        (e.length, VertexPoint(e.ends[1])),
+        (e.length / 5, EdgePoint(eid, e.length / 5)),
+    ):
+        assert (a * s + b) * s + c == resistance_fn(g, x, y)
+    return a, b, c
+
+
 def refined_cases(rng, count):
     """Seeded refinements of `count` random graphs, as (base, kind, refined, points, vids).
 
@@ -67,7 +133,7 @@ def refined_cases(rng, count):
     (kind "two points on one edge"); a chain of 1-4 splits, each link split
     from the one before (kind "chain of k").
     """
-    from tropinv import EdgePoint, insert_point, is_bridge, with_points
+    from tropinv import EdgePoint, insert_point, with_points
     from tropinv.graphs import _split_edge
 
     def split_kind(g, e):

@@ -13,10 +13,8 @@ from tropinv import (
     foster_sum,
     genus,
     insert_point,
-    is_bridge,
     on_edge,
     resistance,
-    resistance_profile,
     same_edge_resistance,
     with_points,
 )
@@ -25,13 +23,15 @@ from tropinv.circuit import (
     _vertex_table,
     cross_integral_quadratic,
     edge_terminal_quadratic,
-    resistance_between_vertices,
 )
 
 from helpers import (
     REFINED_KINDS,
+    certified_profile,
     count_solves,
+    excised_by_removal,
     float_resistance,
+    is_bridge,
     random_connected_graph,
     random_point,
     refined_cases,
@@ -116,38 +116,12 @@ def test_excised_examples():
     assert excised_edge_resistance(circle(), "e").value == 0
 
 
-def _excised_by_removal(g, eid):
-    """Definitional oracle: drop the edge, solve in the surviving component."""
-    e = g.edge(eid)
-    if e.is_loop:
-        return Fraction(0)
-    rest = [(x.id, x.ends, x.length) for x in g.edges if x.id != eid]
-    reachable = {e.ends[0]}
-    changed = True
-    while changed:
-        changed = False
-        for _, (a, b), _ in rest:
-            if a in reachable and b not in reachable:
-                reachable.add(b)
-                changed = True
-            elif b in reachable and a not in reachable:
-                reachable.add(a)
-                changed = True
-    if e.ends[1] not in reachable:
-        return None
-    sub = PolarizedMetricGraph.build(
-        [(v.id, v.q) for v in g.vertices if v.id in reachable],
-        [(i, ends, l) for i, ends, l in rest if ends[0] in reachable],
-    )
-    return resistance_between_vertices(sub, e.ends[0], e.ends[1])
-
-
 def test_excised_matches_definitional_removal():
     rng = random.Random(13)
     for _ in range(15):
         g = random_connected_graph(rng, genus_min=0, genus_max=4)
         for e in g.edges:
-            direct = _excised_by_removal(g, e.id)
+            direct = excised_by_removal(g, e.id)
             fast = excised_edge_resistance(g, e.id)
             if direct is None:
                 assert fast.is_infinite
@@ -155,7 +129,7 @@ def test_excised_matches_definitional_removal():
             else:
                 assert not fast.is_infinite
                 assert fast.value == direct
-                assert not is_bridge(g, e.id) or e.is_loop is False
+                assert not is_bridge(g, e.id)
 
 
 def test_bridge_iff_infinite():
@@ -166,24 +140,20 @@ def test_bridge_iff_infinite():
             assert excised_edge_resistance(g, e.id).is_infinite == is_bridge(g, e.id)
 
 
+def _coefficients(quad):
+    return quad.a, quad.b, quad.c
+
+
 def test_profile_examples():
     # bridge from its endpoint: the profile is plain arclength
-    prof = resistance_profile(segment(), at_vertex("a"), "e")
-    assert (prof.a, prof.b, prof.c) == (0, 1, 0)
-
+    assert _coefficients(edge_terminal_quadratic(segment(), "e", "a")) == (0, 1, 0)
     # circle: s(1-s)
-    prof = resistance_profile(circle(1), at_vertex("v"), "e")
-    assert (prof.a, prof.b, prof.c) == (-1, 1, 0)
+    assert _coefficients(edge_terminal_quadratic(circle(1), "e", "v")) == (-1, 1, 0)
 
-    prof = resistance_profile(sunset(), at_vertex("p"), "e1")
+    prof = edge_terminal_quadratic(sunset(), "e1", "p")
     assert prof.evaluate(0) == 0
     assert prof.evaluate(1) == Fraction(1, 3)
-    assert (prof.a, prof.b, prof.c) == (Fraction(-2, 3), 1, 0)
-
-
-def test_profile_rejects_interior_base_point():
-    with pytest.raises(ValueError):
-        resistance_profile(sunset(), on_edge("e1", "1/2"), "e1")
+    assert _coefficients(prof) == (Fraction(-2, 3), 1, 0)
 
 
 def test_profile_matches_fast_quadratic():
@@ -194,9 +164,8 @@ def test_profile_matches_fast_quadratic():
             continue
         vid = g.vertex_ids()[rng.randrange(len(g.vertices))]
         for e in g.edges:
-            certified = resistance_profile(g, at_vertex(vid), e.id)
-            fast = edge_terminal_quadratic(g, e.id, vid)
-            assert (certified.a, certified.b, certified.c) == (fast.a, fast.b, fast.c)
+            interpolated = certified_profile(g, at_vertex(vid), e.id, resistance)
+            assert interpolated == _coefficients(edge_terminal_quadratic(g, e.id, vid))
 
 
 def test_cross_integral_matches_profile_integral():
@@ -207,11 +176,12 @@ def test_cross_integral_matches_profile_integral():
             continue
         e, other = g.edges[0], g.edges[1]
         quad = cross_integral_quadratic(g, e.id, other.id)
+        length = other.length
         for num in (1, 2, 3):
             s = e.length * Fraction(num, 4)
             g2, vid = insert_point(g, EdgePoint(e.id, s))
-            expected = resistance_profile(g2, at_vertex(vid), other.id).integral(other.length)
-            assert quad.evaluate(s) == expected
+            a, b, c = certified_profile(g2, at_vertex(vid), other.id, resistance)
+            assert quad.evaluate(s) == a * length**3 / 3 + b * length**2 / 2 + c * length
 
 
 def test_same_edge_examples():

@@ -144,3 +144,10 @@ def test_counts_json_roundtrip():
         "delta_i": ["2/3"],
         "delta0": "4",
     }
+
+
+def test_huge_genus_counts_allocate_nothing():
+    # the count lists are stored without padding, so a huge h builds at once
+    counts = NodeTypeCounts.build(10**12, xi0_fixed=1)
+    assert (counts.xi, counts.delta_i) == ((), ())
+    assert d_invariant(counts) == 10**12

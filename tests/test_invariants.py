@@ -136,17 +136,20 @@ def test_dual_path_guard_fires(monkeypatch):
 
 
 def test_profile_certificate_fires(monkeypatch):
-    # corrupt the leading coefficient of one edge's profile: the value at
-    # m(e)/5, which the refinement route computes without it, must disagree
+    # corrupt kappa(e) on one edge after the measures are built (kappa is
+    # also the canonical density, whose mass check would fire first): the
+    # value at m(e)/5, which the point row computes without the profile's
+    # leading coefficient, must disagree
     from tropinv import potentials as pot
 
     g = build("VI", (1, 1, 1))
-    real = pot.circuit._curvature_a
+    pot._potential_weights(g)
+    real = pot.circuit.edge_density
 
     def corrupted(graph, eid):
         return real(graph, eid) + (1 if graph is g and eid == "e2" else 0)
 
-    monkeypatch.setattr(pot.circuit, "_curvature_a", corrupted)
+    monkeypatch.setattr(pot.circuit, "edge_density", corrupted)
     with pytest.raises(ProfileSampleMismatch):
         pot.potential_profile(g, "e2")
 

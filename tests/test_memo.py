@@ -74,22 +74,20 @@ def _pinned_graph():
 
 def test_phi_solve_count_pinned(monkeypatch):
     # V=5, E=7 with one bridge: one solve, one canonical measure and one
-    # bridge search per edge, all for the graph itself; the m(e)/5 spot
-    # checks of the six non-bridge edges' profiles read point rows of its
-    # table; each profile is anchored at its endpoint potentials, so no
+    # edge constant kappa(e) per edge, all for the graph itself; the m(e)/5
+    # spot checks of the six non-bridge edges' profiles read point rows of
+    # its table; each profile is anchored at its endpoint potentials, so no
     # cross-edge quadratic is built
     g = _pinned_graph()
     solves = count_solves(monkeypatch)
-    bridge_searches = []
-    search = circuit.is_bridge
-    monkeypatch.setattr(circuit, "is_bridge", lambda graph, eid: bridge_searches.append(eid) or search(graph, eid))
+    density_misses = circuit.edge_density.cache_info().misses
     misses = _canonical_misses()
     cross_misses = circuit.cross_integral_quadratic.cache_info().misses
     profile_misses = potential_profile.cache_info().misses
     phi(g)
     assert solves == [len(g.vertices) - 1]
     assert _canonical_misses() - misses == 1
-    assert len(bridge_searches) <= len(g.edges)
+    assert circuit.edge_density.cache_info().misses - density_misses == len(g.edges)
     assert circuit.cross_integral_quadratic.cache_info().misses == cross_misses
     assert potential_profile.cache_info().misses - profile_misses <= len(g.edges)
 

@@ -4,16 +4,20 @@ from fractions import Fraction
 import pytest
 
 from tropinv import (
+    admissible_measure,
     build,
     convergence_report,
     epsilon,
+    green,
     laplacian_probe,
     phi,
     quadrature_epsilon,
     quadrature_green_diagonal,
     quadrature_phi,
+    resistance,
     subdivision_invariance_check,
 )
+from tropinv.oracle import _midpoints, _potential_quadrature
 from tropinv.graphs import EdgePoint, VertexPoint, on_edge
 
 from helpers import random_connected_graph
@@ -68,6 +72,27 @@ def test_quadrature_green_diagonal():
     assert abs(approx - exact) < 1e-4
     better = quadrature_green_diagonal(g, VertexPoint("v"), 512)
     assert abs(better - exact) < 1e-6
+
+
+def test_quadrature_green_diagonal_off_edge_samples():
+    # x lies on some edges with density and off others, so both the
+    # closed-form samples along x's edges and the samples read from x's
+    # point row are taken; the row sum equals the per-sample resistances
+    for g, x in (
+        (build("VI", (1, 2, 3)), VertexPoint("a")),
+        (build("I", (1, 2, 3)), EdgePoint("e1", Fraction(1, 3))),
+    ):
+        mu = admissible_measure(g)
+        direct = sum(mass * resistance(g, x, VertexPoint(vid)) for vid, mass in mu.atoms())
+        for eid, density in mu.densities():
+            length = g.edge(eid).length
+            samples = _midpoints(length, 8)
+            direct += density * length / 8 * sum(resistance(g, x, EdgePoint(eid, s)) for s in samples)
+        assert _potential_quadrature(g, x, 8, mu) == direct
+        exact = float(green(g, x, x))
+        errors = [abs(quadrature_green_diagonal(g, x, m) - exact) for m in (8, 16)]
+        assert 3 <= errors[0] / errors[1] <= 5
+        assert errors[1] < 1e-3
 
 
 def test_laplacian_probe_loop():

@@ -4,7 +4,9 @@ Everything here goes through its own certified interpolation (3 samples,
 checked at both endpoints and at a witness point) of two-point resistances,
 each read from a Laplacian solve of the graph refined at its two points;
 none of the endpoint-anchored curvature quadratics the production path uses,
-and none of the point rows it interpolates from the vertex table.
+none of the point rows it interpolates from the vertex table, and not its
+edge constant kappa(e): r(e) comes from a solve of the graph with e
+removed, and the admissible measure is built here from it.
 Exact agreement of epsilon and phi between the two engines certifies the
 fast path.
 """
@@ -15,7 +17,6 @@ from fractions import Fraction
 from tropinv import (
     EdgePoint,
     VertexPoint,
-    admissible_measure,
     epsilon,
     genus,
     phi,
@@ -24,9 +25,9 @@ from tropinv import (
     total_length,
     with_points,
 )
-from tropinv.circuit import excised_edge_resistance, resistance_between_vertices
+from tropinv.circuit import resistance_between_vertices
 
-from helpers import random_connected_graph
+from helpers import certified_profile, excised_by_removal, quad_through, random_connected_graph
 
 
 def _fresh_resistance(g, x, y):
@@ -35,57 +36,44 @@ def _fresh_resistance(g, x, y):
     return resistance_between_vertices(refined, xi, yi)
 
 
-def _certified_profile(g, x, eid):
-    """s -> r(x, point at s on e) through samples at m(e)/4, m(e)/2, 3m(e)/4.
+def _slow_measure(g, h):
+    """(atoms, densities, r) of the admissible measure, from r(e) by removal.
 
-    Certified against the endpoint values and a fourth sample at m(e)/5.
+    Atoms q(v)/h and densities 1/(h (m(e) + r(e))), none on a bridge
+    (r(e) is None there); the total mass must be one.
     """
-    e = g.edge(eid)
-    samples = [e.length * k / 4 for k in (1, 2, 3)]
-    a, b, c = _quad_through([(s, _fresh_resistance(g, x, EdgePoint(eid, s))) for s in samples])
-    for s, y in (
-        (Fraction(0), VertexPoint(e.ends[0])),
-        (e.length, VertexPoint(e.ends[1])),
-        (e.length / 5, EdgePoint(eid, e.length / 5)),
-    ):
-        assert (a * s + b) * s + c == _fresh_resistance(g, x, y)
-    return a, b, c
+    r = {e.id: excised_by_removal(g, e.id) for e in g.edges}
+    atoms = {v.id: Fraction(v.q, h) for v in g.vertices if v.q}
+    densities = {e.id: 1 / (h * (e.length + r[e.id])) for e in g.edges if r[e.id] is not None}
+    assert sum(atoms.values()) + sum(d * g.edge(eid).length for eid, d in densities.items()) == 1
+    return atoms, densities, r
 
 
-def _slow_potential(g, mu, x):
+def _slow_potential(g, measure, x):
     """f(x) from generic resistances and certified cross-edge profiles."""
+    atoms, densities, excised = measure
     total = Fraction(0)
-    for vid, mass in mu.atoms():
+    for vid, mass in atoms.items():
         total += mass * _fresh_resistance(g, x, VertexPoint(vid))
-    for eid, density in mu.densities():
+    for eid, density in densities.items():
         e = g.edge(eid)
         if isinstance(x, EdgePoint) and x.edge == eid:
             # closed-form in-edge integral of u(L-u+r)/(L+r) around the offset
-            length, r = e.length, excised_edge_resistance(g, eid).value
+            length, r = e.length, excised[eid]
             s = x.offset
             a_part = (s**2 + (length - s) ** 2) / 2
             b_part = (s**3 + (length - s) ** 3) / 3
             total += density * ((length + r) * a_part - b_part) / (length + r)
         else:
-            a, b, c = _certified_profile(g, x, eid)
+            a, b, c = certified_profile(g, x, eid, _fresh_resistance)
             total += density * (a * e.length**3 / 3 + b * e.length**2 / 2 + c * e.length)
     return total
 
 
-def _quad_through(points):
-    (s1, v1), (s2, v2), (s3, v3) = points
-    a = b = c = Fraction(0)
-    for (si, vi), sj, sk in ((points[0], s2, s3), (points[1], s1, s3), (points[2], s1, s2)):
-        w = vi / ((si - sj) * (si - sk))
-        a += w
-        b -= w * (sj + sk)
-        c += w * sj * sk
-    return a, b, c
-
-
 def _slow_invariants(g):
     _, h = genus(g)
-    mu = admissible_measure(g)
+    mu = _slow_measure(g, h)
+    atoms, densities, _ = mu
     k_q = polarized_divisor(g)
     delta = total_length(g)
 
@@ -97,7 +85,7 @@ def _slow_invariants(g):
         for k in (1, 2, 3):
             s = e.length * k / 4
             samples.append((s, _slow_potential(g, mu, EdgePoint(e.id, s))))
-        a, b, c = _quad_through(samples)
+        a, b, c = quad_through(samples)
         assert a * 0 + b * 0 + c == f_at[e.ends[0]]
         length = e.length
         assert a * length**2 + b * length + c == f_at[e.ends[1]]
@@ -109,18 +97,18 @@ def _slow_invariants(g):
         return a * length**3 / 3 + b * length**2 / 2 + c * length
 
     cap = Fraction(0)
-    for vid, mass in mu.atoms():
+    for vid, mass in atoms.items():
         cap += mass * f_at[vid]
-    for eid, density in mu.densities():
+    for eid, density in densities.items():
         cap += density * profile_integral(eid)
     cap /= 2
 
     def weighted_diagonal(atom_factor, kq_sign, dens_factor):
         total = Fraction(0)
         for v in g.vertices:
-            w = atom_factor * mu.atom(v.id) + kq_sign * k_q[v.id]
+            w = atom_factor * atoms.get(v.id, 0) + kq_sign * k_q[v.id]
             total += w * (f_at[v.id] - cap)
-        for eid, density in mu.densities():
+        for eid, density in densities.items():
             length = g.edge(eid).length
             total += dens_factor * density * (profile_integral(eid) - cap * length)
         return total
