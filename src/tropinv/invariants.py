@@ -35,9 +35,7 @@ def _diagonal_integral(g, atom_weights, density_weights):
     for eid, w in density_weights.items():
         if w == 0:
             continue
-        length = g.edge(eid).length
-        poly = potentials.potential_profile(g, eid)
-        total += w * (poly.integral(length) - c * length)
+        total += w * (potentials.profile_integral(g, eid) - c * g.edge(eid).length)
     return total
 
 

@@ -1,10 +1,15 @@
-"""Exact linear algebra kernels.
+"""Exact linear algebra kernels, in integers until the last division.
 
-The workhorse is fraction-free (Bareiss) elimination over the integers with
-partial pivoting by magnitude: rational systems are scaled row-wise to
-integer matrices, eliminated without introducing fractions, and the solution
-is recovered exactly by rational back-substitution.  Matrices here are tiny
-(tens of rows), so clarity wins over asymptotics.
+Rational systems are scaled row-wise to integer matrices and eliminated
+fraction-free (Bareiss, partial pivoting by magnitude): every entry stays a
+minor of the scaled matrix, so every division in the elimination is exact.
+The last pivot d is then the determinant of the (row-permuted) scaled
+matrix; for a grounded weighted Laplacian it is, up to sign, a weighted
+spanning-tree count (Kirchhoff's matrix-tree theorem).  By Cramer's rule
+d x is integral, so `solve_columns` back-substitutes y = d x in integers and
+divides by d once per entry, and `nullspace` runs the same elimination
+Gauss-Jordan style, leaving d times the reduced row echelon form.  Every
+such division is checked: a remainder raises `InexactDivision`.
 """
 
 from fractions import Fraction
@@ -17,6 +22,17 @@ class SingularMatrix(Exception):
     Callers guard their preconditions (e.g. connectivity makes a grounded
     Laplacian positive definite), so reaching this is a bug, not bad input.
     """
+
+
+class InexactDivision(ArithmeticError):
+    """Internal: a division the elimination proves exact left a remainder."""
+
+
+def _exact_quotient(num, den):
+    quotient, remainder = divmod(num, den)
+    if remainder:
+        raise InexactDivision(f"a division by a {den.bit_length()}-bit integer left a remainder")
+    return quotient
 
 
 def _scaled_int_rows(rows):
@@ -68,15 +84,18 @@ def solve_columns(a_rows, b_columns):
     aug = [list(a_rows[i]) + [col[i] for col in b_columns] for i in range(n)]
     m = _scaled_int_rows(aug)
     _bareiss_forward(m, n, n + k)
+    d = m[n - 1][n - 1] if n else 1
     solutions = []
     for c in range(k):
-        x = [Fraction(0)] * n
+        # y = d x is integral; U y = d b' is solved exactly, row by row
+        y = [0] * n
         for i in range(n - 1, -1, -1):
-            s = Fraction(m[i][n + c])
+            row = m[i]
+            s = d * row[n + c]
             for j in range(i + 1, n):
-                s -= m[i][j] * x[j]
-            x[i] = s / m[i][i]
-        solutions.append(x)
+                s -= row[j] * y[j]
+            y[i] = _exact_quotient(s, row[i])
+        solutions.append([Fraction(v, d) for v in y])
     return solutions
 
 
@@ -92,15 +111,23 @@ def invert(a_rows):
 def nullspace(rows):
     """Basis of the kernel of a rational matrix (list of Fraction vectors).
 
-    Plain Gauss-Jordan over Fractions; deterministic pivot choice (largest
-    absolute value, lowest row index on ties).
+    Fraction-free Gauss-Jordan on the row-scaled integer matrix: each pivot
+    pk turns every other row, above and below, into
+    (row * pk - row[c] * pivot_row) / prev, prev the pivot before, an exact
+    division.  The pivot is the largest absolute value in its column, lowest
+    row index on ties; a column with no nonzero entry left is skipped.  At
+    the end each pivot row holds the last pivot d in its pivot column, so the
+    matrix is d times its reduced row echelon form, which is unique: the
+    basis vector of a free column fc is e_fc minus the entries m[i][fc] / d
+    at the pivot columns.
     """
     if not rows:
         return []
     ncols = len(rows[0])
-    m = [[Fraction(x) for x in row] for row in rows]
+    m = _scaled_int_rows(rows)
     nrows = len(m)
     pivot_cols = []
+    prev = 1
     r = 0
     for c in range(ncols):
         if r >= nrows:
@@ -109,12 +136,13 @@ def nullspace(rows):
         if m[pivot_row][c] == 0:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
+        row_r = m[r]
+        pk = row_r[c]
         for i in range(nrows):
-            if i != r and m[i][c] != 0:
+            if i != r:
                 f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+                m[i] = [_exact_quotient(x * pk - f * y, prev) for x, y in zip(m[i], row_r)]
+        prev = pk
         pivot_cols.append(c)
         r += 1
     free_cols = [c for c in range(ncols) if c not in pivot_cols]
@@ -123,6 +151,6 @@ def nullspace(rows):
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
         for i, pc in enumerate(pivot_cols):
-            v[pc] = -m[i][fc]
+            v[pc] = Fraction(-m[i][fc], prev)
         basis.append(v)
     return basis

@@ -165,9 +165,10 @@ def convergence_report(g, quantity="phi", orders=(8, 16, 32, 64), tolerance=1e-3
 # pointwise-resistance quadrature for the Green function itself
 # ---------------------------------------------------------------------------
 
-def _potential_quadrature(g, x, order, mu):
+def _potential_quadrature(g, x, mu, samples):
     """Midpoint sum of r(x, .) against mu, from x's point row read once.
 
+    `samples` maps each edge with density to its midpoints (`_midpoints`).
     A sample on an edge through x is u - u^2 kappa(e), u its distance from x
     along e (`circuit.same_edge_resistance`); any other sample is its entry
     of x's row (`circuit._row_entry`).
@@ -177,19 +178,18 @@ def _potential_quadrature(g, x, order, mu):
     for vid, mass in mu.atoms():
         total += mass * row[index[vid]]
     for eid, density in mu.densities():
-        length = g.edge(eid).length
-        samples = _midpoints(length, order)
+        points = samples[eid]
         acc = Fraction(0)
         base = circuit._offset_on(g, x, eid)
         if base is not None:
             kappa = circuit.edge_density(g, eid)
-            for s in samples:
+            for s in points:
                 u = abs(s - base)
                 acc += u - u * u * kappa
         else:
-            for s in samples:
+            for s in points:
                 acc += circuit._row_entry(g, index, row, EdgePoint(eid, s))
-        total += density * length / order * acc
+        total += density * g.edge(eid).length / len(points) * acc
     return total
 
 
@@ -198,22 +198,22 @@ def quadrature_green_diagonal(g, x, order):
 
     The potential and capacity are both replaced by midpoint sums of exact
     two-point resistances, so neither the engine's polynomial profiles nor its
-    exact capacity enter; error is O(1/M^2).
+    exact capacity enter; error is O(1/M^2).  The midpoints of each edge are
+    computed once and shared by every sum.
     """
     require_positive_genus(g)
     x = check_point(g, x)
     mu = potentials.admissible_measure(g)
-    f_x = _potential_quadrature(g, x, order, mu)
+    samples = {eid: _midpoints(g.edge(eid).length, order) for eid, _ in mu.densities()}
+    f_x = _potential_quadrature(g, x, mu, samples)
     cap = Fraction(0)
     for vid, mass in mu.atoms():
-        cap += mass * _potential_quadrature(g, VertexPoint(vid), order, mu)
+        cap += mass * _potential_quadrature(g, VertexPoint(vid), mu, samples)
     for eid, density in mu.densities():
-        length = g.edge(eid).length
-        step = length / order
         acc = Fraction(0)
-        for s in _midpoints(length, order):
-            acc += _potential_quadrature(g, EdgePoint(eid, s), order, mu)
-        cap += density * step * acc
+        for s in samples[eid]:
+            acc += _potential_quadrature(g, EdgePoint(eid, s), mu, samples)
+        cap += density * g.edge(eid).length / order * acc
     return float(f_x - cap / 2)
 
 

@@ -214,6 +214,20 @@ def potential_profile(g, eid):
 
 
 @memoized
+def profile_integral(g, eid):
+    """The integral of f over the edge e = (p, q), in closed form.
+
+    With f(s) = f(p) + b s + A s^2 on [0, m(e)] (`potential_profile`),
+    the integral is m(e)(f(p) + f(q))/2 - A m(e)^3/6.
+    """
+    e = g.edge(eid)
+    length = e.length
+    a = potential_profile(g, eid).a
+    f_p, f_q = (_potential_at_vertex(g, end) for end in e.ends)
+    return length * (f_p + f_q) / 2 - a * length**3 / 6
+
+
+@memoized
 def capacity(g):
     """c = (1/2) * double integral of the resistance kernel against the measure."""
     require_positive_genus(g)
@@ -222,7 +236,7 @@ def capacity(g):
     for vid, mass in mu.atoms():
         value += mass * _potential_at_vertex(g, vid)
     for eid, density in mu.densities():
-        value += density * potential_profile(g, eid).integral(g.edge(eid).length)
+        value += density * profile_integral(g, eid)
     return value / 2
 
 
@@ -260,10 +274,9 @@ def green_measure_integral(g, x):
         total += mass * ((fx + fy - r) / 2 - c)
     for eid, density in mu.densities():
         length = refined.edge(eid).length
-        f_poly = potential_profile(refined, eid)
         r_quad = circuit.edge_terminal_quadratic(refined, eid, xv)
         integral = (
-            fx * length + f_poly.integral(length) - r_quad.integral(length)
+            fx * length + profile_integral(refined, eid) - r_quad.integral(length)
         ) / 2 - c * length
         total += density * integral
     return total

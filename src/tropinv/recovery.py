@@ -15,6 +15,8 @@ is positive on the whole positive orthant; both forms are recorded.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from math import prod
 import random
 
 from . import invariants, linalg, polys
@@ -152,17 +154,22 @@ def fit_phi(g, seed=0, holdout=10):
         lengths = {eid: Fraction(x) for eid, x in zip(edge_order, vec)}
         return invariants.phi(with_lengths(g, lengths))
 
-    train_values = [(vec, phi_at(vec)) for vec in train]
+    train_values = [phi_at(vec) for vec in train]
+
+    @cache
+    def values_at(degree):
+        """Each training sample's values of the degree's monomials, as ints."""
+        monos = polys.monomials(degree, r)
+        return [[prod(x**e for x, e in zip(vec, m)) for m in monos] for vec in train]
 
     fitted = None
     for deg_q in range(deg_q_full + 1):
         monos_p = polys.monomials(deg_q + 1, r)
         monos_q = polys.monomials(deg_q, r)
-        rows = []
-        for vec, value in train_values:
-            row = [polys.poly_eval({m: 1}, vec) for m in monos_p]
-            row += [-value * polys.poly_eval({m: 1}, vec) for m in monos_q]
-            rows.append(row)
+        rows = [
+            p_values + [-value * v for v in q_values]
+            for p_values, q_values, value in zip(values_at(deg_q + 1), values_at(deg_q), train_values)
+        ]
         kernel = linalg.nullspace(rows)
         if not kernel:
             continue

@@ -205,6 +205,60 @@ def definitional_profile(g, eid):
     return (c0, c1, c2)
 
 
+def reference_solve_columns(a_rows, b_columns):
+    """Reference exact solve: Bareiss forward elimination, then back-substitution over Fractions."""
+    n = len(a_rows)
+    k = len(b_columns)
+    aug = [list(a_rows[i]) + [col[i] for col in b_columns] for i in range(n)]
+    m = linalg._scaled_int_rows(aug)
+    linalg._bareiss_forward(m, n, n + k)
+    solutions = []
+    for c in range(k):
+        x = [Fraction(0)] * n
+        for i in range(n - 1, -1, -1):
+            s = Fraction(m[i][n + c])
+            for j in range(i + 1, n):
+                s -= m[i][j] * x[j]
+            x[i] = s / m[i][i]
+        solutions.append(x)
+    return solutions
+
+
+def reference_nullspace(rows):
+    """Reference kernel basis: plain Gauss-Jordan over Fractions, largest pivot first."""
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    m = [[Fraction(x) for x in row] for row in rows]
+    nrows = len(m)
+    pivot_cols = []
+    r = 0
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        pivot_row = max(range(r, nrows), key=lambda i: abs(m[i][c]))
+        if m[pivot_row][c] == 0:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivot_cols.append(c)
+        r += 1
+    free_cols = [c for c in range(ncols) if c not in pivot_cols]
+    basis = []
+    for fc in free_cols:
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for i, pc in enumerate(pivot_cols):
+            v[pc] = -m[i][fc]
+        basis.append(v)
+    return basis
+
+
 def count_solves(monkeypatch):
     """Record the matrix size of every exact solve from now on; returns the list."""
     sizes = []

@@ -83,12 +83,12 @@ def test_quadrature_green_diagonal_off_edge_samples():
         (build("I", (1, 2, 3)), EdgePoint("e1", Fraction(1, 3))),
     ):
         mu = admissible_measure(g)
+        samples = {eid: _midpoints(g.edge(eid).length, 8) for eid, _ in mu.densities()}
         direct = sum(mass * resistance(g, x, VertexPoint(vid)) for vid, mass in mu.atoms())
         for eid, density in mu.densities():
             length = g.edge(eid).length
-            samples = _midpoints(length, 8)
-            direct += density * length / 8 * sum(resistance(g, x, EdgePoint(eid, s)) for s in samples)
-        assert _potential_quadrature(g, x, 8, mu) == direct
+            direct += density * length / 8 * sum(resistance(g, x, EdgePoint(eid, s)) for s in samples[eid])
+        assert _potential_quadrature(g, x, mu, samples) == direct
         exact = float(green(g, x, x))
         errors = [abs(quadrature_green_diagonal(g, x, m) - exact) for m in (8, 16)]
         assert 3 <= errors[0] / errors[1] <= 5

@@ -25,11 +25,12 @@ from tropinv.circuit import (
     edge_terminal_quadratic,
     resistance_between_vertices,
 )
-from tropinv.potentials import _potential_at_vertex
+from tropinv.potentials import _potential_at_vertex, profile_integral
 
 from helpers import (
     REFINED_KINDS,
     definitional_profile,
+    is_bridge,
     random_connected_graph,
     random_point,
     refined_cases,
@@ -156,6 +157,18 @@ def test_potential_matches_refinement_route():
         s = e.length * Fraction(2, 7)
         assert potential_profile(g, e.id).evaluate(s) == potential(g, EdgePoint(e.id, s))
 
+
+def test_profile_integral_matches_quadratic_integral():
+    # the closed form m(f(p) + f(q))/2 - A m^3/6 against integrating the
+    # profile's three coefficients over [0, m(e)]
+    rng = random.Random(61)
+    kinds = set()
+    for _ in range(25):
+        g = random_connected_graph(rng, genus_min=1, genus_max=5, max_vertices=6)
+        for e in g.edges:
+            kinds.add("loop" if e.is_loop else "bridge" if is_bridge(g, e.id) else "cycle")
+            assert profile_integral(g, e.id) == potential_profile(g, e.id).integral(e.length), e.id
+    assert kinds == {"loop", "bridge", "cycle"}
 
 def test_capacity_examples():
     assert capacity(segment()) == Fraction(1, 4)

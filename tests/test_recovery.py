@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -5,13 +6,17 @@ import pytest
 
 from tropinv import (
     DenominatorZero,
+    RankDeficient,
     build,
     closed_form_pair,
     evaluate,
     fit_phi,
     phi,
 )
+from tropinv import invariants, linalg
+from tropinv.cli import EXIT_CROSSCHECK, main
 from tropinv.genus2 import arity
+from tropinv.graphs import dumps
 from tropinv.polys import (
     is_homogeneous,
     monomials,
@@ -104,3 +109,39 @@ def test_fit_validation_transcript():
     assert len(d["held_out"]) == 10
     assert len(d["samples"]) >= 2 * 2
     assert d["degrees"] == [1, 0]
+
+
+def _constant_phi(monkeypatch):
+    """phi := 1 on every graph; no P/Q of degrees (k+1, k) is constant, so no degree has a kernel."""
+    monkeypatch.setattr(invariants, "phi", lambda g: Fraction(1))
+
+
+def test_fit_without_a_kernel_raises_rank_deficient(monkeypatch):
+    _constant_phi(monkeypatch)
+    kernels = []
+    nullspace = linalg.nullspace
+
+    def recorded(rows):
+        kernels.append(nullspace(rows))
+        return kernels[-1]
+
+    monkeypatch.setattr(linalg, "nullspace", recorded)
+    with pytest.raises(RankDeficient, match="no kernel at any denominator degree") as info:
+        fit_phi(build("VI", (1, 2, 3)), seed=0)
+    assert info.value.basis == []
+    # b1 = 2: every denominator degree 0..4 was tried, and none had a kernel
+    assert kernels == [[]] * 5
+
+
+def test_cli_fit_without_a_kernel_exits_crosscheck(monkeypatch, tmp_path, capsys):
+    _constant_phi(monkeypatch)
+    family = tmp_path / "vi.json"
+    family.write_text(dumps(build("VI", (1, 2, 3))))
+    code = main(["fit", str(family)])
+    captured = capsys.readouterr()
+    assert code == EXIT_CROSSCHECK == 4
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    body = json.loads(captured.err)["payload"]
+    assert body["error"] == "RankDeficient"
+    assert body["message"].startswith("no kernel at any denominator degree")
