@@ -11,6 +11,8 @@ Exit codes:
        ids, mismatched counts, zero denominator)
     4  internal crosscheck failure (dual paths or certificates disagree)
     5  identity or equality check failure (reported, nothing crashed)
+
+Codes 2-4 are the `exit_code` of the error class raised (`errors`).
 """
 
 import argparse
@@ -20,50 +22,11 @@ import json
 import sys
 
 from . import genus2, graphs, hyperelliptic, invariants, oracle, potentials, recovery
-from .errors import (
-    ArityMismatch,
-    CrosscheckFailure,
-    DenominatorZero,
-    DisconnectedGraph,
-    GenusMismatch,
-    GenusZero,
-    InconsistentCounts,
-    LengthMismatch,
-    NonPositiveLength,
-    OffsetOutOfRange,
-    ParseError,
-    ProfileSampleMismatch,
-    RankDeficient,
-    TropinvError,
-    UnknownPoint,
-    ValidationFailure,
-)
+from .errors import ParseError, TropinvError
 from .rational import decimal_string, format_rational, parse_rational
 
 EXIT_OK = 0
-EXIT_PARSE = 2
-EXIT_VALIDATION = 3
-EXIT_CROSSCHECK = 4
 EXIT_CHECK_FAILED = 5
-
-_PARSE_ERRORS = (ParseError, ArityMismatch)
-_VALIDATION_ERRORS = (
-    DisconnectedGraph,
-    NonPositiveLength,
-    GenusZero,
-    OffsetOutOfRange,
-    UnknownPoint,
-    GenusMismatch,
-    LengthMismatch,
-    InconsistentCounts,
-    DenominatorZero,
-)
-_CROSSCHECK_ERRORS = (
-    CrosscheckFailure,
-    ProfileSampleMismatch,
-    RankDeficient,
-    ValidationFailure,
-)
 
 
 def _read_file(path):
@@ -228,9 +191,11 @@ def cmd_oracle(args):
     )
     payload = report.to_dict()
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerows(report.csv_rows())
+        try:
+            with open(args.csv, "w", newline="") as fh:
+                csv.writer(fh).writerows(report.csv_rows())
+        except OSError as exc:
+            raise ParseError(f"cannot write {args.csv!r}: {exc}") from exc
         payload["csv"] = args.csv
     ok = report.errors_non_increasing and report.within_tolerance
     status = EXIT_OK if ok else EXIT_CHECK_FAILED
@@ -244,6 +209,17 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(f"{self.prog}: {message}")
 
 
+def _digits(text):
+    """The --decimal digit count K: a non-negative integer."""
+    try:
+        digits = int(text)
+    except ValueError:
+        digits = -1
+    if digits < 0:
+        raise argparse.ArgumentTypeError(f"K must be a non-negative integer, got {text!r}")
+    return digits
+
+
 def build_parser():
     parser = _Parser(
         prog="tropinv",
@@ -253,7 +229,7 @@ def build_parser():
 
     def common(p):
         p.add_argument("--seed", type=int, default=0, help="seed for randomized steps")
-        p.add_argument("--decimal", type=int, default=0, metavar="K",
+        p.add_argument("--decimal", type=_digits, default=0, metavar="K",
                        help="add decimal renderings with K significant digits")
 
     p = sub.add_parser("invariants", help="full invariant report for a graph file")
@@ -309,21 +285,15 @@ def main(argv=None):
     try:
         args = parser.parse_args(raw)
     except ParseError as exc:
-        return _fail(raw, exc, EXIT_PARSE)
+        return _fail(raw, exc, exc.exit_code)
     except SystemExit as exc:
         # --help prints its text and exits 0
         return int(exc.code) if exc.code else EXIT_OK
     args.argv = raw
     try:
         return args.fn(args)
-    except _PARSE_ERRORS as exc:
-        return _fail(raw, exc, EXIT_PARSE)
-    except _VALIDATION_ERRORS as exc:
-        return _fail(raw, exc, EXIT_VALIDATION)
-    except _CROSSCHECK_ERRORS as exc:
-        return _fail(raw, exc, EXIT_CROSSCHECK)
     except TropinvError as exc:
-        return _fail(raw, exc, EXIT_VALIDATION)
+        return _fail(raw, exc, exc.exit_code)
 
 
 def _fail(argv, exc, status):

@@ -2,15 +2,22 @@
 
 Every error raised on purpose derives from :class:`TropinvError`, so callers
 (and the CLI) can map failures to exit codes without matching on messages.
+Each class carries its CLI exit code: 2 for input that does not parse, 3 for
+input that parses but is invalid (the default), 4 for a check of the
+engine's own results that failed.
 """
 
 
 class TropinvError(Exception):
     """Base class for all library errors."""
 
+    exit_code = 3
+
 
 class ParseError(TropinvError):
     """Malformed textual input: JSON schema, rational literal, point syntax."""
+
+    exit_code = 2
 
 
 class DisconnectedGraph(TropinvError):
@@ -36,9 +43,13 @@ class UnknownPoint(TropinvError):
 class ProfileSampleMismatch(TropinvError):
     """An exact interpolation certificate failed; signals an implementation bug."""
 
+    exit_code = 4
+
 
 class CrosscheckFailure(TropinvError):
     """Two independent computation paths disagreed; signals an implementation bug."""
+
+    exit_code = 4
 
 
 class InconsistentCounts(TropinvError):
@@ -56,9 +67,13 @@ class LengthMismatch(TropinvError):
 class ArityMismatch(TropinvError):
     """Wrong number of edge lengths for a catalog graph type."""
 
+    exit_code = 2
+
 
 class RankDeficient(TropinvError):
     """The recovery kernel is not one-dimensional; carries the candidate basis."""
+
+    exit_code = 4
 
     def __init__(self, message, basis=None):
         super().__init__(message)
@@ -67,6 +82,8 @@ class RankDeficient(TropinvError):
 
 class ValidationFailure(TropinvError):
     """A fitted function failed exact validation on held-out samples."""
+
+    exit_code = 4
 
 
 class DenominatorZero(TropinvError):

@@ -175,7 +175,7 @@ class EqualityReport:
 def check_closed_form(tag, lengths=()):
     """Engine phi versus the closed form, as an exact equality report."""
     lengths = _check_lengths(tag, lengths)
-    engine = invariants.phi(build(tag, lengths)) if tag != "trivial" else invariants.phi(build(tag))
+    engine = invariants.phi(build(tag, lengths))
     return EqualityReport(tag, lengths, engine, closed_form_phi(tag, lengths))
 
 

@@ -125,9 +125,6 @@ class PolarizedMetricGraph:
     def vertex_ids(self):
         return tuple(v.id for v in self.vertices)
 
-    def edge_ids(self):
-        return tuple(e.id for e in self.edges)
-
     def q(self, vid):
         return self.vertex(vid).q
 

@@ -49,7 +49,8 @@ def _bareiss_forward(m, n, width):
     """Eliminate below the diagonal of the first n columns, in place.
 
     Fraction-free one-step division with partial pivoting on absolute value.
-    Entries stay integral throughout (they are minors of the scaled matrix).
+    Entries stay integral throughout (they are minors of the scaled matrix),
+    so every division is exact; a remainder raises `InexactDivision`.
     """
     prev = 1
     for k in range(n):
@@ -66,7 +67,10 @@ def _bareiss_forward(m, n, width):
             row_i = m[i]
             row_k = m[k]
             for j in range(k + 1, width):
-                row_i[j] = (row_i[j] * pk - mik * row_k[j]) // prev
+                # `_exact_quotient` inlined: this loop is the O(n^3) part
+                row_i[j], remainder = divmod(row_i[j] * pk - mik * row_k[j], prev)
+                if remainder:
+                    raise InexactDivision(f"a division by a {prev.bit_length()}-bit integer left a remainder")
             row_i[k] = 0
         prev = pk
     return m

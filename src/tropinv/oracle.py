@@ -30,28 +30,27 @@ def _midpoints(length, order):
     return [length * (2 * k - 1) / (2 * order) for k in range(1, order + 1)]
 
 
-def _diagonal_quadrature(g, order, atom_weights, density_weights):
-    """Midpoint-rule integral of g(x,x) against atoms + edge densities.
+def _midpoint_sum(g, eid, points, value):
+    """The midpoint rule on edge e: m(e)/n times the sum of `value` over its n samples."""
+    return g.edge(eid).length / len(points) * sum((value(s) for s in points), Fraction(0))
+
+
+def _diagonal_quadrature(g, order, nu):
+    """Midpoint-rule integral of g(x,x) against a measure nu.
 
     Atom terms are exact; the continuous part uses only pointwise green calls
     at `order` midpoint samples per edge.  Returns an exact Fraction (the
     quadrature sum itself carries the only approximation).
     """
-    total = Fraction(0)
-    for vid, w in atom_weights.items():
-        if w != 0:
-            total += w * potentials.green(g, VertexPoint(vid), VertexPoint(vid))
-    for eid, w in density_weights.items():
-        if w == 0:
-            continue
-        length = g.edge(eid).length
-        step = length / order
-        acc = Fraction(0)
-        for s in _midpoints(length, order):
-            point = EdgePoint(eid, s)
-            acc += potentials.green(g, point, point)
-        total += w * step * acc
-    return total
+
+    def diagonal(point):
+        return potentials.green(g, point, point)
+
+    def over_edge(eid):
+        points = _midpoints(g.edge(eid).length, order)
+        return _midpoint_sum(g, eid, points, lambda s: diagonal(EdgePoint(eid, s)))
+
+    return nu.integrate(lambda vid: diagonal(VertexPoint(vid)), over_edge)
 
 
 def quadrature_phi(g, order):
@@ -59,9 +58,8 @@ def quadrature_phi(g, order):
     require_positive_genus(g)
     if order < 2:
         raise ValueError("quadrature order must be at least 2")
-    atoms, densities = invariants.diagonal_weights(g, "phi")
-    value = -total_length(g) / 4 + _diagonal_quadrature(g, order, atoms, densities) / 4
-    return float(value)
+    nu = invariants.diagonal_weights(g, "phi")
+    return float(-total_length(g) / 4 + _diagonal_quadrature(g, order, nu) / 4)
 
 
 def quadrature_epsilon(g, order):
@@ -69,8 +67,7 @@ def quadrature_epsilon(g, order):
     require_positive_genus(g)
     if order < 2:
         raise ValueError("quadrature order must be at least 2")
-    atoms, densities = invariants.diagonal_weights(g, "epsilon")
-    return float(_diagonal_quadrature(g, order, atoms, densities))
+    return float(_diagonal_quadrature(g, order, invariants.diagonal_weights(g, "epsilon")))
 
 
 @dataclass(frozen=True)
@@ -174,23 +171,18 @@ def _potential_quadrature(g, x, mu, samples):
     of x's row (`circuit._row_entry`).
     """
     index, row = circuit._point_row(g, x)
-    total = Fraction(0)
-    for vid, mass in mu.atoms():
-        total += mass * row[index[vid]]
-    for eid, density in mu.densities():
-        points = samples[eid]
-        acc = Fraction(0)
+
+    def over_edge(eid):
         base = circuit._offset_on(g, x, eid)
-        if base is not None:
-            kappa = circuit.edge_density(g, eid)
-            for s in points:
-                u = abs(s - base)
-                acc += u - u * u * kappa
-        else:
-            for s in points:
-                acc += circuit._row_entry(g, index, row, EdgePoint(eid, s))
-        total += density * g.edge(eid).length / len(points) * acc
-    return total
+        if base is None:
+            return _midpoint_sum(
+                g, eid, samples[eid], lambda s: circuit._row_entry(g, index, row, EdgePoint(eid, s))
+            )
+        kappa = circuit.edge_density(g, eid)
+        distances = [abs(s - base) for s in samples[eid]]
+        return _midpoint_sum(g, eid, distances, lambda u: u - u * u * kappa)
+
+    return mu.integrate(lambda vid: row[index[vid]], over_edge)
 
 
 def quadrature_green_diagonal(g, x, order):
@@ -204,17 +196,16 @@ def quadrature_green_diagonal(g, x, order):
     require_positive_genus(g)
     x = check_point(g, x)
     mu = potentials.admissible_measure(g)
-    samples = {eid: _midpoints(g.edge(eid).length, order) for eid, _ in mu.densities()}
-    f_x = _potential_quadrature(g, x, mu, samples)
-    cap = Fraction(0)
-    for vid, mass in mu.atoms():
-        cap += mass * _potential_quadrature(g, VertexPoint(vid), mu, samples)
-    for eid, density in mu.densities():
-        acc = Fraction(0)
-        for s in samples[eid]:
-            acc += _potential_quadrature(g, EdgePoint(eid, s), mu, samples)
-        cap += density * g.edge(eid).length / order * acc
-    return float(f_x - cap / 2)
+    samples = {e.id: _midpoints(e.length, order) for e in g.edges}
+
+    def f(point):
+        return _potential_quadrature(g, point, mu, samples)
+
+    cap = mu.integrate(
+        lambda vid: f(VertexPoint(vid)),
+        lambda eid: _midpoint_sum(g, eid, samples[eid], lambda s: f(EdgePoint(eid, s))),
+    )
+    return float(f(x) - cap / 2)
 
 
 # ---------------------------------------------------------------------------

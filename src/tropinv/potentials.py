@@ -11,6 +11,8 @@ admissible measure; the Green function is then
 with c the capacity constant fixed by the normalization that g integrates to
 zero against the measure.  All of it is exact rational arithmetic; the edge
 restrictions of f are closed-form quadratics, so every integral is exact.
+Every integral against a measure is `Measure.integrate` of a function's
+vertex values and edge integrals (`integrate_potential` for f).
 
 At a vertex, f is one weighted row of the resistance table plus a constant,
 f(v) = sum over u of w(u) r(u, v) + C (`_potential_weights`).  At an interior
@@ -45,16 +47,27 @@ _ZERO = Fraction(0)
 class Measure:
     """Atomic masses on vertices plus uniform densities per edge.
 
-    Immutable by convention; `densities` are masses per unit length.  Total
-    mass is computed exactly at construction.
+    Immutable by convention; `densities` are masses per unit length, and
+    zero coefficients are dropped.  `integrate` is the one place that sums
+    over the atoms and densities; the total mass is its first use, computed
+    exactly at construction.
     """
 
     def __init__(self, g, atoms, densities, tag):
         self._atoms = {vid: Fraction(c) for vid, c in atoms.items() if c != 0}
         self._densities = {eid: Fraction(c) for eid, c in densities.items() if c != 0}
         self.tag = tag
-        self.total_mass = sum(self._atoms.values(), _ZERO) + sum(
-            (d * g.edge(eid).length for eid, d in self._densities.items()), _ZERO
+        self.total_mass = self.integrate(lambda vid: 1, lambda eid: g.edge(eid).length)
+
+    def integrate(self, at_vertex, over_edge):
+        """Sum of atom(v) * at_vertex(v) over v plus density(e) * over_edge(e) over e.
+
+        `over_edge(e)` is the integral over e of the function whose value at
+        a vertex v is `at_vertex(v)`, so this is its integral against the
+        measure.  Every value is exact, so summation order changes nothing.
+        """
+        return sum((c * at_vertex(vid) for vid, c in self._atoms.items()), _ZERO) + sum(
+            (d * over_edge(eid) for eid, d in self._densities.items()), _ZERO
         )
 
     def atom(self, vid):
@@ -227,17 +240,17 @@ def profile_integral(g, eid):
     return length * (f_p + f_q) / 2 - a * length**3 / 6
 
 
+def integrate_potential(g, nu):
+    """The integral of f against a measure nu: vertex potentials at its atoms,
+    `profile_integral` over the edges it has density on."""
+    return nu.integrate(lambda vid: _potential_at_vertex(g, vid), lambda eid: profile_integral(g, eid))
+
+
 @memoized
 def capacity(g):
     """c = (1/2) * double integral of the resistance kernel against the measure."""
     require_positive_genus(g)
-    mu = admissible_measure(g)
-    value = _ZERO
-    for vid, mass in mu.atoms():
-        value += mass * _potential_at_vertex(g, vid)
-    for eid, density in mu.densities():
-        value += density * profile_integral(g, eid)
-    return value / 2
+    return integrate_potential(g, admissible_measure(g)) / 2
 
 
 def green(g, x, y):
@@ -257,27 +270,18 @@ def green(g, x, y):
 def green_measure_integral(g, x):
     """Closed-form integral of g(x, .) against the admissible measure.
 
-    Must be exactly zero; computed on the graph refined at x, which solves
-    its own resistance table, through the edge quadratics rather than the
-    defining algebra, so it shares neither the point rows nor the shifted
-    weights of `potential` and `green`.
+    Must be exactly zero.  The measure has mass one, so the integral is
+    (f(x) + integral of f - integral of r(x, .))/2 - c.  It is computed on the
+    graph refined at x, which solves its own resistance table, through the
+    edge quadratics rather than the defining algebra, so it shares neither
+    the point rows nor the shifted weights of `potential` and `green`.
     """
     require_positive_genus(g)
     c = capacity(g)
     refined, xv = insert_point(g, check_point(g, x))
     mu = admissible_measure(refined)
-    fx = _potential_at_vertex(refined, xv)
-    total = _ZERO
-    for vid, mass in mu.atoms():
-        fy = _potential_at_vertex(refined, vid)
-        r = circuit.resistance_between_vertices(refined, xv, vid)
-        total += mass * ((fx + fy - r) / 2 - c)
-    for eid, density in mu.densities():
-        length = refined.edge(eid).length
-        r_quad = circuit.edge_terminal_quadratic(refined, eid, xv)
-        integral = (
-            fx * length + profile_integral(refined, eid) - r_quad.integral(length)
-        ) / 2 - c * length
-        total += density * integral
-    return total
-
+    r_x = mu.integrate(
+        lambda vid: circuit.resistance_between_vertices(refined, xv, vid),
+        lambda eid: circuit.edge_terminal_quadratic(refined, eid, xv).integral(refined.edge(eid).length),
+    )
+    return (_potential_at_vertex(refined, xv) + integrate_potential(refined, mu) - r_x) / 2 - c

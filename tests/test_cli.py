@@ -1,14 +1,17 @@
+import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tropinv import build, green
+from tropinv import build, errors, green
 from tropinv.cli import main
 from tropinv.graphs import EdgePoint, dumps
 
@@ -273,6 +276,40 @@ def test_crosscheck_failure_exit_4(files, capsys, monkeypatch):
     assert json.loads(err)["payload"]["error"] == "CrosscheckFailure"
 
 
+def _readme_exit_codes():
+    """{name: code} for every name in backticks in a row of the README's exit-code table."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("### Exit codes", 1)[1].split("\n\n")[1]
+    codes = {}
+    for code, meaning in re.findall(r"^\| (\d) \| (.*) \|$", table, flags=re.M):
+        for name in re.findall(r"`(\w+)`", meaning):
+            assert name not in codes, f"{name} is in two rows of the exit-code table"
+            codes[name] = int(code)
+    return codes
+
+
+_ERROR_CLASSES = sorted(
+    (obj for obj in vars(errors).values() if isinstance(obj, type) and issubclass(obj, errors.TropinvError)),
+    key=lambda cls: cls.__name__,
+)
+
+
+@pytest.mark.parametrize("error", _ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_each_error_exits_with_its_readme_code(files, capsys, monkeypatch, error):
+    # the README's table, the class's exit_code and the code `main` returns agree
+    expected = _readme_exit_codes()[error.__name__]
+    assert error.exit_code == expected
+
+    def boom(g):
+        raise error("injected")
+
+    monkeypatch.setattr("tropinv.invariants.report", boom)
+    paths, _ = files
+    code, out, err = run(capsys, ["invariants", paths["sunset.json"]])
+    assert (code, out) == (expected, "")
+    assert json.loads(err)["payload"] == {"error": error.__name__, "message": "injected"}
+
+
 _TYPE_II = dumps(build("II", (1,))).encode()
 _DEEP = b"[" * 100000 + b"]" * 100000
 
@@ -296,6 +333,8 @@ _DEEP = b"[" * 100000 + b"]" * 100000
         (_TYPE_II, None, ["invariants"]),
         (_TYPE_II, None, ["invariants", "GRAPH", "--no-such-option"]),
         (_TYPE_II, None, ["no-such-command", "GRAPH"]),
+        (_TYPE_II, None, ["invariants", "GRAPH", "--decimal", "-1"]),
+        (_TYPE_II, None, ["oracle", "GRAPH", "--orders", "2,4", "--csv", "."]),
     ],
     ids=[
         "graph-not-utf8",
@@ -307,6 +346,8 @@ _DEEP = b"[" * 100000 + b"]" * 100000
         "missing-positional",
         "unknown-option",
         "unknown-subcommand",
+        "negative-decimal-digits",
+        "csv-path-is-a-directory",
     ],
 )
 def test_malformed_input_exit_2_without_traceback(tmp_path, graph, counts, argv):
@@ -423,6 +464,73 @@ def test_fuzzed_inputs_keep_the_cli_contract(tmp_path_factory, command, graph, c
     assert code in (0, 2, 3, 4, 5)
     if code == 0:
         assert json.loads(out.getvalue())["status"] == 0
+    else:
+        envelope = json.loads(err.getvalue())
+        assert envelope["status"] == code
+        assert set(envelope["payload"]) == {"error", "message"}
+
+
+# --- fuzzed argv --------------------------------------------------------------
+
+# one well-formed invocation per subcommand; paths are files the test writes
+# into a fresh working directory, which also takes any file a token names
+_TEMPLATES = {
+    "invariants": ["loop.json"],
+    "green": ["loop.json", "--at", "vertex:v", "--at", "edge:e1@1/2"],
+    "potential": ["typeII.json", "--at", "vertex:p"],
+    "genus2": ["I", "1", "2", "3"],
+    "hyperelliptic": ["typeII.json", "countsII.json"],
+    "fit": ["typeII.json"],
+    "oracle": ["loop.json", "--orders", "2,4"],
+}
+# no digits in junk: a drawn token never asks for a huge order or precision
+_JUNK = st.text(alphabet=st.characters(blacklist_categories=("Nd", "Cs")), max_size=5)
+_PATH = st.sampled_from(["loop.json", "typeII.json", "countsII.json", "junk.json", "missing.json", "out", ""])
+_POINT_ARG = st.sampled_from(["vertex:v", "vertex:p", "vertex:z", "edge:e1@1/2", "edge:e1@2", "edge:e9@1/2", "edge:e1"])
+_SMALL_INT = st.integers(-3, 40).map(str)
+# each option with values near the edges of what it accepts
+_OPTION_VALUES = {
+    "--at": _POINT_ARG,
+    "--seed": _SMALL_INT | st.sampled_from(["-1", "1/2"]),
+    "--decimal": _SMALL_INT | st.sampled_from(["-1", "0", "1/2"]),
+    "--orders": st.sampled_from(["8,16", "2,3,4", "1,8", "8,x", "", ",", "-2"]),
+    "--quantity": st.sampled_from(["phi", "epsilon", "psi", ""]),
+    "--tolerance": st.sampled_from(["1e-3", "0", "-1", "nan", "inf", "x"]),
+    "--csv": st.sampled_from(["ladder.csv", "out", "missing/x.csv", ""]),
+    "--no-such-option": _JUNK,
+}
+_VALUES = st.one_of(_SMALL_INT, _PATH, _POINT_ARG, st.sampled_from(["I", "VI", "1/2", "-1/3", "0"]), _JUNK)
+_OPTION = st.sampled_from(sorted(_OPTION_VALUES)).flatmap(lambda opt: st.tuples(st.just(opt), _OPTION_VALUES[opt]))
+
+
+@given(
+    command=st.sampled_from([*sorted(_TEMPLATES), "no-such-command", ""]),
+    positionals=st.integers(0, 3).flatmap(lambda k: st.lists(_VALUES, max_size=4) if k == 0 else st.none()),
+    options=st.lists(_OPTION, max_size=3),
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_fuzzed_argv_keeps_the_cli_contract(tmp_path_factory, command, positionals, options):
+    # the same contract as for fuzzed files: exit 0, 2, 3, 4 or 5, a JSON
+    # envelope on stderr for every failure, no exception escaping `main`;
+    # exit 5 (a check ran and failed) reports on stdout like exit 0.  No
+    # positionals stands for the subcommand's well-formed ones
+    tmp = tmp_path_factory.mktemp("argv")
+    (tmp / "loop.json").write_text(dumps(build("III", (1,))))
+    (tmp / "typeII.json").write_text(dumps(build("II", (1,))))
+    (tmp / "countsII.json").write_text(json.dumps({"h": 2, "delta_i": ["1"]}))
+    (tmp / "junk.json").write_bytes(b"\xff{")
+    (tmp / "out").mkdir()
+    if positionals is None:
+        positionals = _TEMPLATES.get(command, [])
+    argv = [command, *positionals, *(token for pair in options for token in pair)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.chdir(tmp), redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4, 5)
+    if code == 0 and out.getvalue().startswith("usage:"):
+        return  # an abbreviation of --help prints the help text
+    if code in (0, 5):
+        assert json.loads(out.getvalue())["status"] == code
     else:
         envelope = json.loads(err.getvalue())
         assert envelope["status"] == code

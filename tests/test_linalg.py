@@ -157,3 +157,11 @@ def test_exact_quotient_refuses_a_remainder():
         linalg._exact_quotient(7, 2)
     with pytest.raises(InexactDivision):
         linalg._exact_quotient(-7, 2)
+
+
+def test_forward_elimination_refuses_a_remainder():
+    # the rows must be integers; a stray Fraction makes the first division
+    # inexact, and flooring it would eliminate a different system
+    with pytest.raises(InexactDivision):
+        linalg._bareiss_forward([[2, 1], [1, Fraction(1, 3)]], 2, 2)
+    assert linalg._bareiss_forward([[2, 1], [1, 3]], 2, 2) == [[2, 1], [0, 5]]
