@@ -6,6 +6,13 @@ fraction-free solve of the grounded weighted Laplacian per graph, and the
 restriction of a resistance function to an edge is an exact quadratic in the
 arclength parameter.
 
+The vertex table and the point rows are integer numerators over one
+denominator per row: d, the solve's last pivot, for the table
+(`_vertex_table`), and a multiple of it for the row of an interior point
+(`_point_row`).  A Fraction is first made where one value leaves them:
+`resistance_between_vertices` and `_row_entry` for an entry, and
+`potentials` for a weighted row sum.
+
 An interior point needs no solve of its own.  Inserting a point x at offset
 s on an edge e = (p, q) of length L as a valence-2 vertex, and eliminating
 it again (a Kron reduction), gives back the same network, so with t = s/L
@@ -37,6 +44,7 @@ depend on v (`edge_terminal_integral`).
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .errors import OffsetOutOfRange
@@ -103,18 +111,21 @@ class QuadraticProfile:
 
 @memoized
 def _vertex_table(g):
-    """All pairwise effective resistances between vertices.
+    """(index, table, d): all pairwise effective resistances between vertices.
 
     Grounds the first vertex and inverts the reduced weighted Laplacian by
-    fraction-free elimination; r(u, v) = H[u][u] + H[v][v] - 2 H[u][v] with
-    the ground row and column read as zero.
+    fraction-free elimination, which gives the inverse as integers Y over
+    one d > 0 (`linalg.invert`).  Then r(u, v) = table[u][v] / d with the
+    integer table[u][v] = Y[u][u] + Y[v][v] - 2 Y[u][v], the ground row and
+    column of Y read as zero.  A one-vertex graph has the table ((0,),)
+    over d = 1.
     """
     require_connected(g)
     vids = g.vertex_ids()
     index = {vid: i for i, vid in enumerate(vids)}
     n = len(vids)
     if n == 1:
-        return index, ((Fraction(0),),)
+        return index, ((0,),), 1
     lap = [[Fraction(0)] * n for _ in range(n)]
     for e in g.edges:
         if e.is_loop:
@@ -126,54 +137,60 @@ def _vertex_table(g):
         lap[i][j] -= c
         lap[j][i] -= c
     reduced = [row[1:] for row in lap[1:]]
-    h_small = linalg.invert(reduced)
-    h = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(1, n):
-        for j in range(1, n):
-            h[i][j] = h_small[i - 1][j - 1]
-    table = tuple(
-        tuple(h[i][i] + h[j][j] - 2 * h[i][j] for j in range(n)) for i in range(n)
-    )
-    return index, table
+    d, y_small = linalg.invert(reduced)
+    y = [[0] * n] + [[0] + row for row in y_small]
+    table = tuple(tuple(y[i][i] + y[j][j] - 2 * y[i][j] for j in range(n)) for i in range(n))
+    return index, table, d
 
 
-def _interpolated(g, eid, s, row_p, row_q):
+def _interpolated(g, eid, s, nums_p, nums_q, den):
     """(1 - t) row_p + t row_q + kappa(e) s (m(e) - s), entry by entry, t = s/m(e).
 
     The row formula of the module docstring, whose bulge t (1 - t) (m(e) -
     r(p, q)) is kappa(e) s (m(e) - s): the resistances from the point at
     offset s on e = (p, q) to the points whose resistances from p and q are
-    row_p and row_q; none of them may lie inside e.
+    row_p = nums_p / den and row_q = nums_q / den; none of them may lie
+    inside e.  With t = a/b in lowest terms, returns the integers over
+    lcm(b den, denominator of the bulge), and that denominator.
     """
     length = g.edge(eid).length
     t = s / length
+    a, b = t.numerator, t.denominator
     bulge = edge_density(g, eid) * s * (length - s)
-    return tuple((1 - t) * a + t * b + bulge for a, b in zip(row_p, row_q))
+    b_den = b * den
+    out_den = lcm(b_den, bulge.denominator)
+    scale = out_den // b_den
+    lift = bulge.numerator * (out_den // bulge.denominator)
+    nums = tuple(((b - a) * u + a * v) * scale + lift for u, v in zip(nums_p, nums_q))
+    return nums, out_den
 
 
 def _point_row(g, x):
-    """(index, row): the resistances from a checked point x to every vertex.
+    """(index, nums, den): the resistances nums[i] / den from a checked point x
+    to every vertex, in the order of the table's index.
 
-    A vertex reads its row of the table; an interior point interpolates the
-    rows of its edge's ends (see the module docstring).  Not memoized: a
-    quadrature ladder evaluates thousands of distinct points.
+    A vertex reads its row of the table over d; an interior point
+    interpolates the rows of its edge's ends (see the module docstring).
+    Not memoized: a quadrature ladder evaluates thousands of distinct
+    points.
     """
-    index, table = _vertex_table(g)
+    index, table, d = _vertex_table(g)
     if isinstance(x, VertexPoint):
-        return index, table[index[x.vertex]]
+        return index, table[index[x.vertex]], d
     p, q = g.edge(x.edge).ends
-    return index, _interpolated(g, x.edge, x.offset, table[index[p]], table[index[q]])
+    return (index, *_interpolated(g, x.edge, x.offset, table[index[p]], table[index[q]], d))
 
 
-def _row_entry(g, index, row, y):
-    """y's entry of a point row (`_point_row`), for a checked point y.
+def _row_entry(g, index, nums, den, y):
+    """y's entry of a point row (`_point_row`) as a Fraction, for a checked point y.
 
     y must not share an edge with the row's point (`_interpolated`).
     """
     if isinstance(y, VertexPoint):
-        return row[index[y.vertex]]
+        return Fraction(nums[index[y.vertex]], den)
     p, q = g.edge(y.edge).ends
-    return _interpolated(g, y.edge, y.offset, (row[index[p]],), (row[index[q]],))[0]
+    (num,), out_den = _interpolated(g, y.edge, y.offset, (nums[index[p]],), (nums[index[q]],), den)
+    return Fraction(num, out_den)
 
 
 def _offset_on(g, point, eid):
@@ -189,10 +206,10 @@ def _offset_on(g, point, eid):
 
 
 def resistance_between_vertices(g, u, v):
-    index, table = _vertex_table(g)
+    index, table, d = _vertex_table(g)
     g.vertex(u)
     g.vertex(v)
-    return table[index[u]][index[v]]
+    return Fraction(table[index[u]][index[v]], d)
 
 
 def resistance(g, x, y):

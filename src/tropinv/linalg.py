@@ -6,10 +6,14 @@ minor of the scaled matrix, so every division in the elimination is exact.
 The last pivot d is then the determinant of the (row-permuted) scaled
 matrix; for a grounded weighted Laplacian it is, up to sign, a weighted
 spanning-tree count (Kirchhoff's matrix-tree theorem).  By Cramer's rule
-d x is integral, so `solve_columns` back-substitutes y = d x in integers and
-divides by d once per entry, and `nullspace` runs the same elimination
-Gauss-Jordan style, leaving d times the reduced row echelon form.  Every
-such division is checked: a remainder raises `InexactDivision`.
+|d| x is integral, so `solve_columns` back-substitutes y = |d| x in integers
+and returns |d| with the integer y: no Fraction leaves it or `invert`.  A
+caller that reads many entries over the one denominator (the vertex
+resistance table) stays in integers and makes a Fraction only for a value
+it hands on.  `nullspace` runs the same elimination Gauss-Jordan style,
+leaving d times the reduced row echelon form, and divides by d once per
+basis entry.  Every division that theory says is exact is checked: a
+remainder raises `InexactDivision`.
 """
 
 from fractions import Fraction
@@ -41,7 +45,7 @@ def _scaled_int_rows(rows):
     for row in rows:
         fracs = [Fraction(x) for x in row]
         mult = lcm(*(f.denominator for f in fracs)) if fracs else 1
-        out.append([int(f * mult) for f in fracs])
+        out.append([f.numerator * (mult // f.denominator) for f in fracs])
     return out
 
 
@@ -80,18 +84,19 @@ def solve_columns(a_rows, b_columns):
     """Solve A x = b for several right-hand sides, exactly.
 
     `a_rows` is an n-by-n matrix and `b_columns` a list of length-n vectors;
-    entries may be ints or Fractions.  Returns one Fraction vector per input
-    column.  Raises SingularMatrix when A is singular.
+    entries may be ints or Fractions.  Returns (d, ys): d > 0, and one list
+    ys[c] of ints per input column with x = ys[c] / d (d = 1 when n = 0).
+    Raises SingularMatrix when A is singular.
     """
     n = len(a_rows)
     k = len(b_columns)
     aug = [list(a_rows[i]) + [col[i] for col in b_columns] for i in range(n)]
     m = _scaled_int_rows(aug)
     _bareiss_forward(m, n, n + k)
-    d = m[n - 1][n - 1] if n else 1
+    # |d| x is integral as well as d x; U y = |d| b' is solved exactly, row by row
+    d = abs(m[n - 1][n - 1]) if n else 1
     solutions = []
     for c in range(k):
-        # y = d x is integral; U y = d b' is solved exactly, row by row
         y = [0] * n
         for i in range(n - 1, -1, -1):
             row = m[i]
@@ -99,17 +104,20 @@ def solve_columns(a_rows, b_columns):
             for j in range(i + 1, n):
                 s -= row[j] * y[j]
             y[i] = _exact_quotient(s, row[i])
-        solutions.append([Fraction(v, d) for v in y])
-    return solutions
+        solutions.append(y)
+    return d, solutions
 
 
 def invert(a_rows):
-    """Exact inverse of a small nonsingular matrix, as rows of Fractions."""
+    """Exact inverse of a small nonsingular matrix, as (d, Y).
+
+    d > 0 and Y is a list of integer rows with inverse = Y / d.
+    """
     n = len(a_rows)
-    identity = [[Fraction(int(i == j)) for i in range(n)] for j in range(n)]
-    cols = solve_columns(a_rows, identity)
+    identity = [[int(i == j) for i in range(n)] for j in range(n)]
+    d, cols = solve_columns(a_rows, identity)
     # cols[j][i] is entry (i, j) of the inverse
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    return d, [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
 def nullspace(rows):

@@ -170,19 +170,19 @@ def _potential_quadrature(g, x, mu, samples):
     along e (`circuit.same_edge_resistance`); any other sample is its entry
     of x's row (`circuit._row_entry`).
     """
-    index, row = circuit._point_row(g, x)
+    index, nums, den = circuit._point_row(g, x)
 
     def over_edge(eid):
         base = circuit._offset_on(g, x, eid)
         if base is None:
             return _midpoint_sum(
-                g, eid, samples[eid], lambda s: circuit._row_entry(g, index, row, EdgePoint(eid, s))
+                g, eid, samples[eid], lambda s: circuit._row_entry(g, index, nums, den, EdgePoint(eid, s))
             )
         kappa = circuit.edge_density(g, eid)
         distances = [abs(s - base) for s in samples[eid]]
         return _midpoint_sum(g, eid, distances, lambda u: u - u * u * kappa)
 
-    return mu.integrate(lambda vid: row[index[vid]], over_edge)
+    return mu.integrate(lambda vid: Fraction(nums[index[vid]], den), over_edge)
 
 
 def quadrature_green_diagonal(g, x, order):

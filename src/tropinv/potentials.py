@@ -18,13 +18,18 @@ At a vertex, f is one weighted row of the resistance table plus a constant,
 f(v) = sum over u of w(u) r(u, v) + C (`_potential_weights`).  At an interior
 point x the same sum runs over x's row (`circuit._point_row`), with the
 weights and the constant shifted as if x were a vertex (`potential`), so
-neither needs a refined graph.  On an edge, f is the quadratic anchored at
+neither needs a refined graph.  The weights are integers over one common
+denominator and the rows integers over theirs (`circuit._vertex_table`), so
+either sum is one integer dot product and the potential is the first
+Fraction made from it.  On an edge, f is the quadratic anchored at
 its two endpoint potentials with leading coefficient d(e) - kappa(e)
 (`potential_profile`), so a profile costs O(1) once the vertex potentials
 are known.
 """
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from . import circuit
 from .errors import CrosscheckFailure, ProfileSampleMismatch
@@ -141,31 +146,37 @@ def admissible_measure(g):
 
 @memoized
 def _potential_weights(g):
-    """(w, C) with f(v) = sum over u of w(u) r(u, v), plus C, at every vertex v.
+    """(w, w_den, C) with f(v) = sum over u of w[u] r(u, v) / w_den, plus C, at every vertex v.
 
     Integrating r(., v) over an edge e = (p, q) gives m(e)(r(p, v) + r(q, v))/2
     plus kappa(e) m(e)^3/6 (`circuit.edge_terminal_integral`), so w(u) is
     the atom at u plus half the mass of each edge end at u (a loop puts its
     whole mass on its vertex), and C is the sum of density * kappa(e) m(e)^3/6.
+    The weights are integers over their common denominator w_den, aligned
+    with the index of the vertex table, so a potential is one integer dot
+    product with a table or point row.
     """
     mu = admissible_measure(g)
-    weights = dict(mu.atoms())
+    index = circuit._vertex_table(g)[0]
+    weights = [_ZERO] * len(index)
+    for vid, atom in mu.atoms():
+        weights[index[vid]] += atom
     offset = _ZERO
     for eid, density in mu.densities():
         e = g.edge(eid)
         half = density * e.length / 2
         for end in e.ends:
-            weights[end] = weights.get(end, _ZERO) + half
+            weights[index[end]] += half
         offset += density * circuit.edge_density(g, eid) * e.length**3 / 6
-    return weights, offset
+    w_den = lcm(*(w.denominator for w in weights))
+    return [w.numerator * (w_den // w.denominator) for w in weights], w_den, offset
 
 
 @memoized
 def _potential_at_vertex(g, vid):
-    weights, offset = _potential_weights(g)
-    index, table = circuit._vertex_table(g)
-    row = table[index[vid]]
-    return sum((w * row[index[u]] for u, w in weights.items()), offset)
+    w, w_den, offset = _potential_weights(g)
+    index, table, d = circuit._vertex_table(g)
+    return Fraction(sum(map(mul, w, table[index[vid]])), w_den * d) + offset
 
 
 def potential(g, x):
@@ -182,15 +193,15 @@ def potential(g, x):
     x = check_point(g, x)
     if isinstance(x, VertexPoint):
         return _potential_at_vertex(g, x.vertex)
-    weights, offset = _potential_weights(g)
-    index, row = circuit._point_row(g, x)
-    value = sum((w * row[index[u]] for u, w in weights.items()), offset)
+    w, w_den, offset = _potential_weights(g)
+    index, nums, den = circuit._point_row(g, x)
+    value = Fraction(sum(map(mul, w, nums)), w_den * den) + offset
     density = admissible_measure(g).density(x.edge)
     if density == 0:
         return value
     e = g.edge(x.edge)
     length, s = e.length, x.offset
-    r_p, r_q = (row[index[end]] for end in e.ends)
+    r_p, r_q = (Fraction(nums[index[end]], den) for end in e.ends)
     shift = -circuit.edge_density(g, x.edge) * length * s * (length - s) - (length - s) * r_p - s * r_q
     return value + density * shift / 2
 

@@ -224,6 +224,95 @@ def reference_solve_columns(a_rows, b_columns):
     return solutions
 
 
+def reference_vertex_table(g):
+    """Reference resistance table, as (index, rows of Fractions).
+
+    The Fraction inverse H of the grounded weighted Laplacian
+    (`reference_solve_columns`), then r(u, v) = H[u][u] + H[v][v] - 2 H[u][v]
+    with the ground row and column read as zero.
+    """
+    vids = g.vertex_ids()
+    index = {vid: i for i, vid in enumerate(vids)}
+    n = len(vids)
+    lap = [[Fraction(0)] * n for _ in range(n)]
+    for e in g.edges:
+        if e.is_loop:
+            continue
+        i, j = index[e.ends[0]], index[e.ends[1]]
+        c = 1 / e.length
+        lap[i][i] += c
+        lap[j][j] += c
+        lap[i][j] -= c
+        lap[j][i] -= c
+    reduced = [row[1:] for row in lap[1:]]
+    identity = [[Fraction(int(i == j)) for i in range(n - 1)] for j in range(n - 1)]
+    cols = reference_solve_columns(reduced, identity)
+    h = [[Fraction(0)] * n] + [[Fraction(0)] + [cols[j][i] for j in range(n - 1)] for i in range(n - 1)]
+    return index, [[h[i][i] + h[j][j] - 2 * h[i][j] for j in range(n)] for i in range(n)]
+
+
+def reference_point_row(g, x):
+    """Reference point row in Fractions: a vertex's table row, or, at offset s
+    on e = (p, q) with t = s/m(e), (1 - t) r(p, .) + t r(q, .) + t (1 - t) (m(e) - r(p, q))."""
+    index, table = reference_vertex_table(g)
+    if isinstance(x, VertexPoint):
+        return index, table[index[x.vertex]]
+    e = g.edge(x.edge)
+    row_p, row_q = (table[index[end]] for end in e.ends)
+    t = x.offset / e.length
+    bulge = t * (1 - t) * (e.length - row_p[index[e.ends[1]]])
+    return index, [(1 - t) * a + t * b + bulge for a, b in zip(row_p, row_q)]
+
+
+def _reference_kappa(g, eid):
+    """kappa(e) = (m(e) - r(p, q))/m(e)^2, r(p, q) read from the reference table."""
+    index, table = reference_vertex_table(g)
+    e = g.edge(eid)
+    return (e.length - table[index[e.ends[0]]][index[e.ends[1]]]) / e.length**2
+
+
+def reference_potential_weights(g):
+    """({vertex: w(v)}, C) with f(v) = sum of w(u) r(u, v) + C, from the reference table.
+
+    The admissible measure in its simplified form, atoms q(v)/h and
+    densities kappa(e)/h with kappa(e) = (m(e) - r(p, q))/m(e)^2; w(u) is
+    the atom at u plus half the mass of each edge end at u, and C the sum
+    of density * kappa(e) m(e)^3/6.  Every vertex has a weight, 0 included.
+    """
+    _, h = genus(g)
+    weights = {v.id: Fraction(v.q, h) for v in g.vertices}
+    offset = Fraction(0)
+    for e in g.edges:
+        kappa = _reference_kappa(g, e.id)
+        half = kappa * e.length / (2 * h)
+        for end in e.ends:
+            weights[end] += half
+        offset += kappa**2 * e.length**3 / (6 * h)
+    return weights, offset
+
+
+def reference_potential(g, x):
+    """Reference f(x): the Fraction weighted row sum over x's reference row.
+
+    At an interior point x at offset s on e = (p, q), L = m(e), density d,
+    the weights and the constant are those of the graph refined at x: x
+    takes d L/2, p gives up d (L - s)/2, q gives up d s/2, and C falls by
+    d kappa(e) L s (L - s)/2.
+    """
+    weights, offset = reference_potential_weights(g)
+    index, row = reference_point_row(g, x)
+    value = sum((w * row[index[u]] for u, w in weights.items()), offset)
+    if isinstance(x, VertexPoint):
+        return value
+    e = g.edge(x.edge)
+    length, s = e.length, x.offset
+    kappa = _reference_kappa(g, x.edge)
+    density = kappa / genus(g)[1]
+    r_p, r_q = (row[index[end]] for end in e.ends)
+    shift = -kappa * length * s * (length - s) - (length - s) * r_p - s * r_q
+    return value + density * shift / 2
+
+
 def reference_nullspace(rows):
     """Reference kernel basis: plain Gauss-Jordan over Fractions, largest pivot first."""
     if not rows:

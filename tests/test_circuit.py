@@ -275,16 +275,20 @@ def test_refined_table_matches_fresh_solve(monkeypatch):
         assert with_points(g, points) == (refined, vids)
         _vertex_table(g)
         before = len(solves)
-        index, table = _vertex_table(refined)
+        index, table, d = _vertex_table(refined)
         assert solves[before:] == [len(refined.vertices) - 1]
+
+        def fresh(u, v):
+            return Fraction(table[index[u]][index[v]], d)
+
         for x, xv in zip(points, vids):
-            row_index, row = _point_row(g, x)
+            row_index, nums, den = _point_row(g, x)
             assert sorted(row_index) == sorted(g.vertex_ids())
             for v in g.vertex_ids():
-                assert row[row_index[v]] == table[index[xv]][index[v]], (x, v)
-                assert resistance(g, x, at_vertex(v)) == table[index[xv]][index[v]], (x, v)
+                assert Fraction(nums[row_index[v]], den) == fresh(xv, v), (x, v)
+                assert resistance(g, x, at_vertex(v)) == fresh(xv, v), (x, v)
             for y, yv in zip(points, vids):
-                assert resistance(g, x, y) == table[index[xv]][index[yv]], (x, y)
+                assert resistance(g, x, y) == fresh(xv, yv), (x, y)
                 if x != y:
                     seen.add("pair on one edge" if x.edge == y.edge else "pair on two edges")
         assert len(solves) == before + 1, "a point row must not solve"

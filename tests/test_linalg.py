@@ -1,9 +1,10 @@
 """The integer kernels of `linalg` against the Fraction reference routines.
 
-`solve_columns` back-substitutes in integers and divides by the last pivot
-once per entry; `nullspace` runs a fraction-free Gauss-Jordan.  Both must
-agree exactly with the Fraction routines in `helpers`, and every solution
-is also checked by substituting it back into the system.
+`solve_columns` back-substitutes in integers and returns integer
+numerators over the last pivot's absolute value; `nullspace` runs a
+fraction-free Gauss-Jordan.  Both must agree exactly with the Fraction
+routines in `helpers`, and every solution is also checked by substituting
+it back into the system.
 """
 
 import random
@@ -35,6 +36,14 @@ def _times(a_rows, x):
     return [sum((a * b for a, b in zip(row, x)), Fraction(0)) for row in a_rows]
 
 
+def _solve(a_rows, b_columns):
+    """`solve_columns`, checked to return integers over d > 0, read as Fractions."""
+    d, ys = solve_columns(a_rows, b_columns)
+    assert type(d) is int and d > 0
+    assert all(type(y) is int for col in ys for y in col)
+    return [[Fraction(y, d) for y in col] for col in ys]
+
+
 def _assert_solve_matches_reference(a_rows, b_columns):
     try:
         expected = reference_solve_columns(a_rows, b_columns)
@@ -42,7 +51,7 @@ def _assert_solve_matches_reference(a_rows, b_columns):
         with pytest.raises(SingularMatrix):
             solve_columns(a_rows, b_columns)
         return False
-    got = solve_columns(a_rows, b_columns)
+    got = _solve(a_rows, b_columns)
     assert got == expected
     assert all(isinstance(v, Fraction) for x in got for v in x)
     for x, b in zip(got, b_columns):
@@ -67,10 +76,12 @@ def test_solve_matches_reference_on_seeded_matrices(fractions):
 
 
 def test_solve_edge_cases():
-    assert solve_columns([[Fraction(3, 4)]], [[Fraction(1, 2)], [-3]]) == [[Fraction(2, 3)], [-4]]
-    assert solve_columns([[-5]], [[10]]) == reference_solve_columns([[-5]], [[10]]) == [[-2]]
-    assert solve_columns([], [[]]) == reference_solve_columns([], [[]]) == [[]]
-    assert solve_columns([], []) == []
+    assert _solve([[Fraction(3, 4)]], [[Fraction(1, 2)], [-3]]) == [[Fraction(2, 3)], [-4]]
+    assert _solve([[-5]], [[10]]) == reference_solve_columns([[-5]], [[10]]) == [[-2]]
+    # a negative last pivot still returns d > 0
+    assert solve_columns([[-5]], [[10]]) == (5, [[-10]])
+    assert _solve([], [[]]) == reference_solve_columns([], [[]]) == [[]]
+    assert solve_columns([], []) == (1, [])
     for a_rows in ([[0]], [[0, 0], [0, 0]], [[1, 2], [2, 4]], [[Fraction(1, 3), 1], [1, 3]]):
         _assert_solve_matches_reference(a_rows, [[1] * len(a_rows)])
         with pytest.raises(SingularMatrix):
@@ -94,7 +105,10 @@ def test_invert_grounded_laplacians():
             lap[i][j] -= c
             lap[j][i] -= c
         reduced = [row[1:] for row in lap[1:]]
-        inverse = invert(reduced)
+        d, numerators = invert(reduced)
+        assert type(d) is int and d > 0
+        assert all(type(y) is int for row in numerators for y in row)
+        inverse = [[Fraction(y, d) for y in row] for row in numerators]
         identity = [[Fraction(int(i == j)) for j in range(n - 1)] for i in range(n - 1)]
         assert [_times(reduced, col) for col in zip(*inverse)] == identity
         assert [list(col) for col in zip(*inverse)] == reference_solve_columns(reduced, identity)
