@@ -39,7 +39,10 @@ restriction of a resistance function r(., v) to e is the quadratic anchored
 at its endpoint values with leading coefficient -kappa(e)
 (`edge_terminal_quadratic`); integrated over e it is the trapezoid value
 m(e) (r(p, v) + r(q, v)) / 2 plus kappa(e) m(e)^3 / 6, which does not
-depend on v (`edge_terminal_integral`).
+depend on v.  `edge_terminal_integral`, `cross_integral_quadratic` and
+`same_edge_integral_quadratic` state those integrals but have no caller in
+the engine: only tests use them, and they stay here because the benchmark's
+span table (`bench/spans.py`) names them.
 """
 
 from dataclasses import dataclass
@@ -298,9 +301,10 @@ def same_edge_resistance(g, eid, s, t):
 
 
 # ---------------------------------------------------------------------------
-# closed-form quadratics (anchored, leading coefficient -kappa(e)); the two
-# integral quadratics are the reference route that tests sum into potential
-# profiles
+# closed-form quadratics (anchored, leading coefficient -kappa(e)).  The
+# three integrals below have no engine caller: they are the reference route
+# that tests sum into potential profiles, kept here because `bench/spans.py`
+# names them
 # ---------------------------------------------------------------------------
 
 @memoized

@@ -1,8 +1,10 @@
 """Command-line surface.
 
 Subcommands: invariants, green, potential, genus2, hyperelliptic, fit,
-oracle.  All numeric output is exact "p/q"; pass --decimal K for an extra
-decimal rendering.  Identical inputs and seeds produce byte-identical output.
+oracle.  All numeric output is exact "p/q"; `invariants` adds 12-digit
+decimal renderings, and --decimal K on invariants, green or potential sets
+the digit count (0: none).  --seed is an option of fit alone.  Identical
+inputs and seeds produce byte-identical output.
 
 Exit codes:
     0  success
@@ -107,7 +109,7 @@ def _with_decimals(payload, keys, digits):
 def cmd_invariants(args):
     g, digest = _load_graph(args.graph)
     rep = invariants.report(g)
-    payload = rep.to_dict(decimal_digits=args.decimal if args.decimal else 12)
+    payload = rep.to_dict(decimal_digits=args.decimal)
     return _emit(args.argv, {"graph": digest}, payload, EXIT_OK)
 
 
@@ -227,44 +229,41 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized steps")
-        p.add_argument("--decimal", type=_digits, default=0, metavar="K",
-                       help="add decimal renderings with K significant digits")
+    def decimal(p, default):
+        p.add_argument("--decimal", type=_digits, default=default, metavar="K",
+                       help=f"decimal renderings with K significant digits, 0 for none (default {default})")
 
     p = sub.add_parser("invariants", help="full invariant report for a graph file")
     p.add_argument("graph")
-    common(p)
+    decimal(p, 12)
     p.set_defaults(fn=cmd_invariants)
 
     p = sub.add_parser("green", help="Green function value at two points")
     p.add_argument("graph")
     p.add_argument("--at", action="append", default=[], metavar="POINT",
                    help="vertex:ID or edge:ID@p/q (twice)")
-    common(p)
+    decimal(p, 0)
     p.set_defaults(fn=cmd_green)
 
     p = sub.add_parser("potential", help="potential, capacity and diagonal Green value")
     p.add_argument("graph")
     p.add_argument("--at", action="append", default=[], metavar="POINT")
-    common(p)
+    decimal(p, 0)
     p.set_defaults(fn=cmd_potential)
 
     p = sub.add_parser("genus2", help="catalog closed form vs engine for a genus-2 type")
     p.add_argument("tag", choices=list(genus2.TAGS))
     p.add_argument("lengths", nargs="*", help="edge lengths as p/q")
-    common(p)
     p.set_defaults(fn=cmd_genus2)
 
     p = sub.add_parser("hyperelliptic", help="node-count identities for a graph + counts file")
     p.add_argument("graph")
     p.add_argument("counts")
-    common(p)
     p.set_defaults(fn=cmd_hyperelliptic)
 
     p = sub.add_parser("fit", help="recover phi as an exact rational function")
     p.add_argument("family", help="graph file; edge lengths are treated as symbolic")
-    common(p)
+    p.add_argument("--seed", type=int, default=0, help="seed for randomized steps")
     p.set_defaults(fn=cmd_fit)
 
     p = sub.add_parser("oracle", help="quadrature convergence ladder")
@@ -273,7 +272,6 @@ def build_parser():
     p.add_argument("--quantity", choices=["phi", "epsilon"], default="phi")
     p.add_argument("--tolerance", type=float, default=1e-3)
     p.add_argument("--csv", metavar="PATH", help="also write the ladder as CSV")
-    common(p)
     p.set_defaults(fn=cmd_oracle)
 
     return parser

@@ -10,9 +10,8 @@ Tags and edge order (lengths are x1, x2, ... in the stored edge order):
     V        one q=0 vertex with two loops
     VI       two q=0 vertices, bridge x1, one loop on each side (x2, x3)
 
-Each non-trivial type carries a documented node-type classification; it was
-pinned down by requiring the count identities to hold and is validated, not
-assumed.
+The catalog below states each type once: its vertices, its edges in length
+order, and its bridges.  `build`, `arity` and `node_counts` all read it.
 """
 
 from dataclasses import dataclass
@@ -24,15 +23,24 @@ from .graphs import PolarizedMetricGraph
 from .hyperelliptic import NodeTypeCounts, check_identities
 from .rational import as_fraction, format_rational
 
-TAGS = ("trivial", "I", "II", "III", "IV", "V", "VI")
+# tag -> (vertices (id, q), edges (id, ends) in length order, bridge ids)
+CATALOG = {
+    "trivial": ((("v", 2),), (), ()),
+    "I": ((("p", 0), ("q", 0)), (("e1", ("p", "q")), ("e2", ("p", "q")), ("e3", ("p", "q"))), ()),
+    "II": ((("a", 1), ("b", 1)), (("e1", ("a", "b")),), ("e1",)),
+    "III": ((("v", 1),), (("e1", ("v", "v")),), ()),
+    "IV": ((("a", 1), ("b", 0)), (("e1", ("a", "b")), ("e2", ("b", "b"))), ("e1",)),
+    "V": ((("v", 0),), (("e1", ("v", "v")), ("e2", ("v", "v"))), ()),
+    "VI": ((("a", 0), ("b", 0)), (("e1", ("a", "b")), ("e2", ("a", "a")), ("e3", ("b", "b"))), ("e1",)),
+}
 
-_ARITY = {"trivial": 0, "I": 3, "II": 1, "III": 1, "IV": 2, "V": 2, "VI": 3}
+TAGS = tuple(CATALOG)
 
 
 def arity(tag):
-    if tag not in _ARITY:
+    if tag not in CATALOG:
         raise ArityMismatch(f"unknown catalog tag {tag!r}; expected one of {', '.join(TAGS)}")
-    return _ARITY[tag]
+    return len(CATALOG[tag][1])
 
 
 def _check_lengths(tag, lengths):
@@ -48,38 +56,8 @@ def _check_lengths(tag, lengths):
 def build(tag, lengths=()):
     """The catalog graph with the given edge lengths (edge order e1, e2, e3)."""
     lengths = _check_lengths(tag, lengths)
-    if tag == "trivial":
-        return PolarizedMetricGraph.build([("v", 2)], [])
-    if tag == "I":
-        return PolarizedMetricGraph.build(
-            [("p", 0), ("q", 0)],
-            [("e1", ("p", "q"), lengths[0]), ("e2", ("p", "q"), lengths[1]), ("e3", ("p", "q"), lengths[2])],
-        )
-    if tag == "II":
-        return PolarizedMetricGraph.build(
-            [("a", 1), ("b", 1)], [("e1", ("a", "b"), lengths[0])]
-        )
-    if tag == "III":
-        return PolarizedMetricGraph.build([("v", 1)], [("e1", ("v", "v"), lengths[0])])
-    if tag == "IV":
-        return PolarizedMetricGraph.build(
-            [("a", 1), ("b", 0)],
-            [("e1", ("a", "b"), lengths[0]), ("e2", ("b", "b"), lengths[1])],
-        )
-    if tag == "V":
-        return PolarizedMetricGraph.build(
-            [("v", 0)],
-            [("e1", ("v", "v"), lengths[0]), ("e2", ("v", "v"), lengths[1])],
-        )
-    # VI
-    return PolarizedMetricGraph.build(
-        [("a", 0), ("b", 0)],
-        [
-            ("e1", ("a", "b"), lengths[0]),
-            ("e2", ("a", "a"), lengths[1]),
-            ("e3", ("b", "b"), lengths[2]),
-        ],
-    )
+    vertices, edges, _ = CATALOG[tag]
+    return PolarizedMetricGraph.build(vertices, [(eid, ends, x) for (eid, ends), x in zip(edges, lengths)])
 
 
 def closed_form_phi(tag, lengths=()):
@@ -127,27 +105,18 @@ def closed_form_pair(tag):
 
 
 def node_counts(tag, lengths=()):
-    """Documented node classification per type, scaled by the edge lengths.
+    """The documented node classification, scaled by the edge lengths.
 
-    Bridges subdivide into separating nodes of type 1, loops and the parallel
-    edges of type I into non-separating nodes fixed by the involution.  The
-    type I assignment was determined by solving the count identities and is
-    validated by `catalog_identity_report`.
+    Bridges subdivide into separating nodes of type 1 (`delta_i[0]`), loops
+    and the parallel edges of type I into non-separating nodes fixed by the
+    involution (`xi0_fixed`).  The type I assignment was determined by
+    solving the count identities and is validated by
+    `catalog_identity_report`.
     """
     lengths = _check_lengths(tag, lengths)
-    if tag == "trivial":
-        return NodeTypeCounts.build(2)
-    if tag == "I":
-        return NodeTypeCounts.build(2, xi0_fixed=sum(lengths))
-    if tag == "II":
-        return NodeTypeCounts.build(2, delta_i=[lengths[0]])
-    if tag == "III":
-        return NodeTypeCounts.build(2, xi0_fixed=lengths[0])
-    if tag == "IV":
-        return NodeTypeCounts.build(2, xi0_fixed=lengths[1], delta_i=[lengths[0]])
-    if tag == "V":
-        return NodeTypeCounts.build(2, xi0_fixed=lengths[0] + lengths[1])
-    return NodeTypeCounts.build(2, xi0_fixed=lengths[1] + lengths[2], delta_i=[lengths[0]])
+    _, edges, bridges = CATALOG[tag]
+    bridged = sum(x for (eid, _), x in zip(edges, lengths) if eid in bridges)
+    return NodeTypeCounts.build(2, xi0_fixed=sum(lengths) - bridged, delta_i=[bridged])
 
 
 @dataclass(frozen=True)
@@ -199,6 +168,12 @@ def rescaled_sunset_phi(lengths):
 
 
 def check_sunset_rescaling(lengths):
-    """Rescaled route versus the catalog closed form for type I, exactly."""
+    """Rescaled route versus the catalog closed form for type I, exactly.
+
+    The report's `engine_phi` field (and so the CLI's
+    `rescaled_form.engine_phi`) holds the rescaled form's value, not the
+    engine's: the key is shared with `check_closed_form` and kept for the
+    payload's sake.
+    """
     lengths = _check_lengths("I", lengths)
     return EqualityReport("I", lengths, rescaled_sunset_phi(lengths), closed_form_phi("I", lengths))

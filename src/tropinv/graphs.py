@@ -243,7 +243,6 @@ class Divisor:
 @dataclass(frozen=True)
 class ValidationReport:
     connected: bool
-    positive_lengths: bool
     b1: int
     h: int
     stable: bool
@@ -251,7 +250,7 @@ class ValidationReport:
 
     @property
     def structurally_valid(self):
-        return self.connected and self.positive_lengths
+        return self.connected
 
 
 def is_connected(g):
@@ -305,10 +304,10 @@ def is_stable(g):
 
 
 def validate(g):
-    """Structural report: connectivity, lengths, genus, stability.
+    """Structural report: connectivity, genus, stability.
 
-    Never raises; positive lengths are already guaranteed by construction,
-    the flag is kept so reports are self-describing.
+    Never raises.  Lengths are not checked: `PolarizedMetricGraph.build`
+    already rejects a non-positive one.
     """
     issues = []
     connected = is_connected(g)
@@ -325,7 +324,6 @@ def validate(g):
         issues.append(f"unstable: q=0 vertex {bad[0]!r} has fewer than 3 half-edges")
     return ValidationReport(
         connected=connected,
-        positive_lengths=True,
         b1=b1,
         h=h,
         stable=stable,

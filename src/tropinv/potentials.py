@@ -149,9 +149,12 @@ def _potential_weights(g):
     """(w, w_den, C) with f(v) = sum over u of w[u] r(u, v) / w_den, plus C, at every vertex v.
 
     Integrating r(., v) over an edge e = (p, q) gives m(e)(r(p, v) + r(q, v))/2
-    plus kappa(e) m(e)^3/6 (`circuit.edge_terminal_integral`), so w(u) is
-    the atom at u plus half the mass of each edge end at u (a loop puts its
-    whole mass on its vertex), and C is the sum of density * kappa(e) m(e)^3/6.
+    plus kappa(e) m(e)^3/6, so w(u) is the atom at u plus half the mass of
+    each edge end at u (a loop puts its whole mass on its vertex), and C is
+    the sum of density * kappa(e) m(e)^3/6.  `circuit.edge_terminal_integral`
+    states that integral, but nothing here calls it: it and the two integral
+    quadratics have no engine caller and stay in `circuit` only because
+    `bench/spans.py` names them.
     The weights are integers over their common denominator w_den, aligned
     with the index of the vertex table, so a potential is one integer dot
     product with a table or point row.

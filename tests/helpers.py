@@ -206,22 +206,25 @@ def definitional_profile(g, eid):
 
 
 def reference_solve_columns(a_rows, b_columns):
-    """Reference exact solve: Bareiss forward elimination, then back-substitution over Fractions."""
+    """Reference exact solve: plain Gauss-Jordan over Fractions on [A | B], largest pivot first.
+
+    Shares no step with the engine's integer elimination; raises
+    `linalg.SingularMatrix` when A is singular.
+    """
     n = len(a_rows)
-    k = len(b_columns)
-    aug = [list(a_rows[i]) + [col[i] for col in b_columns] for i in range(n)]
-    m = linalg._scaled_int_rows(aug)
-    linalg._bareiss_forward(m, n, n + k)
-    solutions = []
-    for c in range(k):
-        x = [Fraction(0)] * n
-        for i in range(n - 1, -1, -1):
-            s = Fraction(m[i][n + c])
-            for j in range(i + 1, n):
-                s -= m[i][j] * x[j]
-            x[i] = s / m[i][i]
-        solutions.append(x)
-    return solutions
+    m = [[Fraction(x) for x in a_rows[i]] + [Fraction(col[i]) for col in b_columns] for i in range(n)]
+    for c in range(n):
+        pivot_row = max(range(c, n), key=lambda i: abs(m[i][c]))
+        if m[pivot_row][c] == 0:
+            raise linalg.SingularMatrix(f"no pivot in column {c}")
+        m[c], m[pivot_row] = m[pivot_row], m[c]
+        pv = m[c][c]
+        m[c] = [x / pv for x in m[c]]
+        for i in range(n):
+            if i != c and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return [[m[i][n + c] for i in range(n)] for c in range(len(b_columns))]
 
 
 def reference_vertex_table(g):

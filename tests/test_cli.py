@@ -238,6 +238,13 @@ def test_decimal_flag(files, capsys):
                                 "--at", "vertex:b", "--decimal", "6"])
     body = payload(out)
     assert body["green_decimal"] == "-0.25"
+    # invariants renders 12 digits by default, K on request, none at K = 0
+    _, out, _ = run(capsys, ["invariants", paths["sunset.json"]])
+    assert payload(out)["phi_decimal"] == "0.111111111111"
+    _, out, _ = run(capsys, ["invariants", paths["sunset.json"], "--decimal", "4"])
+    assert payload(out)["phi_decimal"] == "0.1111"
+    _, out, _ = run(capsys, ["invariants", paths["sunset.json"], "--decimal", "0"])
+    assert not [key for key in payload(out) if key.endswith("_decimal")]
 
 
 def test_module_entry_point(files):
@@ -335,6 +342,14 @@ _DEEP = b"[" * 100000 + b"]" * 100000
         (_TYPE_II, None, ["no-such-command", "GRAPH"]),
         (_TYPE_II, None, ["invariants", "GRAPH", "--decimal", "-1"]),
         (_TYPE_II, None, ["oracle", "GRAPH", "--orders", "2,4", "--csv", "."]),
+        # --seed belongs to fit alone, --decimal to invariants, green and potential
+        (_TYPE_II, None, ["invariants", "GRAPH", "--seed", "3"]),
+        (_TYPE_II, None, ["green", "GRAPH", "--at", "vertex:a", "--at", "vertex:b", "--seed", "3"]),
+        (_TYPE_II, None, ["potential", "GRAPH", "--at", "vertex:a", "--seed", "3"]),
+        (_TYPE_II, None, ["genus2", "I", "1", "2", "3", "--decimal", "5"]),
+        (_TYPE_II, None, ["hyperelliptic", "GRAPH", "GRAPH", "--decimal", "5"]),
+        (_TYPE_II, None, ["fit", "GRAPH", "--decimal", "5"]),
+        (_TYPE_II, None, ["oracle", "GRAPH", "--seed", "3", "--decimal", "4"]),
     ],
     ids=[
         "graph-not-utf8",
@@ -348,6 +363,13 @@ _DEEP = b"[" * 100000 + b"]" * 100000
         "unknown-subcommand",
         "negative-decimal-digits",
         "csv-path-is-a-directory",
+        "invariants-seed",
+        "green-seed",
+        "potential-seed",
+        "genus2-decimal",
+        "hyperelliptic-decimal",
+        "fit-decimal",
+        "oracle-seed-and-decimal",
     ],
 )
 def test_malformed_input_exit_2_without_traceback(tmp_path, graph, counts, argv):

@@ -13,10 +13,10 @@ from tropinv import (
     genus,
     is_stable,
 )
-from tropinv.genus2 import TAGS, arity, catalog_identity_report
+from tropinv.genus2 import CATALOG, TAGS, arity, catalog_identity_report
 from tropinv.polys import poly_degree, poly_eval
 
-from helpers import random_rational
+from helpers import is_bridge, random_rational
 
 
 def test_topologies():
@@ -32,6 +32,9 @@ def test_topologies():
     for tag in TAGS:
         g = build(tag, [1] * arity(tag))
         assert (len(g.vertices), len(g.edges)) == expected[tag]
+        assert arity(tag) == len(g.edges)
+        # the catalog's bridge column is what a graph search finds
+        assert set(CATALOG[tag][2]) == {e.id for e in g.edges if is_bridge(g, e.id)}
         assert genus(g)[1] == 2
         assert is_stable(g)
 
