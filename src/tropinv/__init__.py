@@ -15,6 +15,7 @@ from .errors import (
     CrosscheckFailure,
     DenominatorZero,
     DisconnectedGraph,
+    FloatOverflow,
     GenusMismatch,
     GenusZero,
     InconsistentCounts,

@@ -10,7 +10,8 @@ Exit codes:
     0  success
     2  parse error (usage, JSON, schema, rational or point syntax, arity)
     3  validation error (disconnected, bad length/offset, genus 0, unknown
-       ids, mismatched counts, zero denominator)
+       ids, mismatched counts, zero denominator, a value too large for a
+       float)
     4  internal crosscheck failure (dual paths or certificates disagree)
     5  identity or equality check failure (reported, nothing crashed)
 
@@ -21,6 +22,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 
 from . import genus2, graphs, hyperelliptic, invariants, oracle, potentials, recovery
@@ -222,6 +224,17 @@ def _digits(text):
     return digits
 
 
+def _tolerance(text):
+    """The oracle's --tolerance: a finite float, so the envelope stays valid JSON."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"tolerance must be a finite number, got {text!r}")
+    return value
+
+
 def build_parser():
     parser = _Parser(
         prog="tropinv",
@@ -270,7 +283,7 @@ def build_parser():
     p.add_argument("graph")
     p.add_argument("--orders", default="8,16,32,64", help="comma-separated midpoint orders")
     p.add_argument("--quantity", choices=["phi", "epsilon"], default="phi")
-    p.add_argument("--tolerance", type=float, default=1e-3)
+    p.add_argument("--tolerance", type=_tolerance, default=1e-3)
     p.add_argument("--csv", metavar="PATH", help="also write the ladder as CSV")
     p.set_defaults(fn=cmd_oracle)
 

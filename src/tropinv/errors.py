@@ -88,3 +88,7 @@ class ValidationFailure(TropinvError):
 
 class DenominatorZero(TropinvError):
     """A rational function was evaluated at a zero of its denominator."""
+
+
+class FloatOverflow(TropinvError):
+    """An exact value that must be reported as a float is too large for one."""

@@ -11,7 +11,10 @@ Tags and edge order (lengths are x1, x2, ... in the stored edge order):
     VI       two q=0 vertices, bridge x1, one loop on each side (x2, x3)
 
 The catalog below states each type once: its vertices, its edges in length
-order, and its bridges.  `build`, `arity` and `node_counts` all read it.
+order, its bridges, and its closed form for phi as an integer polynomial pair
+P/Q.  `build`, `arity`, `node_counts`, `closed_form_phi` and
+`closed_form_pair` all read it.  `rescaled_sunset_phi` is a second,
+hand-written route for type I, the only non-linear closed form.
 """
 
 from dataclasses import dataclass
@@ -23,15 +26,21 @@ from .graphs import PolarizedMetricGraph
 from .hyperelliptic import NodeTypeCounts, check_identities
 from .rational import as_fraction, format_rational
 
-# tag -> (vertices (id, q), edges (id, ends) in length order, bridge ids)
+# tag -> (vertices (id, q), edges (id, ends) in length order, bridge ids,
+#         phi as an integer pair (P, Q) in lowest terms, exponents in edge order)
 CATALOG = {
-    "trivial": ((("v", 2),), (), ()),
-    "I": ((("p", 0), ("q", 0)), (("e1", ("p", "q")), ("e2", ("p", "q")), ("e3", ("p", "q"))), ()),
-    "II": ((("a", 1), ("b", 1)), (("e1", ("a", "b")),), ("e1",)),
-    "III": ((("v", 1),), (("e1", ("v", "v")),), ()),
-    "IV": ((("a", 1), ("b", 0)), (("e1", ("a", "b")), ("e2", ("b", "b"))), ("e1",)),
-    "V": ((("v", 0),), (("e1", ("v", "v")), ("e2", ("v", "v"))), ()),
-    "VI": ((("a", 0), ("b", 0)), (("e1", ("a", "b")), ("e2", ("a", "a")), ("e3", ("b", "b"))), ("e1",)),
+    "trivial": ((("v", 2),), (), (), ({}, {(): 1})),
+    "I": ((("p", 0), ("q", 0)), (("e1", ("p", "q")), ("e2", ("p", "q")), ("e3", ("p", "q"))), (),
+          # ((x1+x2+x3) e2 - 5 x1x2x3) / (12 e2), e2 = x1x2 + x2x3 + x3x1
+          ({(2, 1, 0): 1, (1, 2, 0): 1, (1, 1, 1): -2, (0, 2, 1): 1, (0, 1, 2): 1, (2, 0, 1): 1, (1, 0, 2): 1},
+           {(1, 1, 0): 12, (0, 1, 1): 12, (1, 0, 1): 12})),
+    "II": ((("a", 1), ("b", 1)), (("e1", ("a", "b")),), ("e1",), ({(1,): 1}, {(0,): 1})),
+    "III": ((("v", 1),), (("e1", ("v", "v")),), (), ({(1,): 1}, {(0,): 12})),
+    "IV": ((("a", 1), ("b", 0)), (("e1", ("a", "b")), ("e2", ("b", "b"))), ("e1",),
+           ({(1, 0): 12, (0, 1): 1}, {(0, 0): 12})),
+    "V": ((("v", 0),), (("e1", ("v", "v")), ("e2", ("v", "v"))), (), ({(1, 0): 1, (0, 1): 1}, {(0, 0): 12})),
+    "VI": ((("a", 0), ("b", 0)), (("e1", ("a", "b")), ("e2", ("a", "a")), ("e3", ("b", "b"))), ("e1",),
+           ({(1, 0, 0): 12, (0, 1, 0): 1, (0, 0, 1): 1}, {(0, 0, 0): 12})),
 }
 
 TAGS = tuple(CATALOG)
@@ -56,52 +65,26 @@ def _check_lengths(tag, lengths):
 def build(tag, lengths=()):
     """The catalog graph with the given edge lengths (edge order e1, e2, e3)."""
     lengths = _check_lengths(tag, lengths)
-    vertices, edges, _ = CATALOG[tag]
+    vertices, edges, _, _ = CATALOG[tag]
     return PolarizedMetricGraph.build(vertices, [(eid, ends, x) for (eid, ends), x in zip(edges, lengths)])
 
 
 def closed_form_phi(tag, lengths=()):
     """Exact evaluation of the catalog's closed form for phi."""
     lengths = _check_lengths(tag, lengths)
-    if tag == "trivial":
-        return Fraction(0)
-    if tag == "I":
-        x1, x2, x3 = lengths
-        return (x1 + x2 + x3) / 12 - Fraction(5, 12) * x1 * x2 * x3 / (x1 * x2 + x2 * x3 + x3 * x1)
-    if tag == "II":
-        return lengths[0]
-    if tag == "III":
-        return lengths[0] / 12
-    if tag == "IV":
-        return lengths[0] + lengths[1] / 12
-    if tag == "V":
-        return (lengths[0] + lengths[1]) / 12
-    return lengths[0] + (lengths[1] + lengths[2]) / 12
+    p, q = CATALOG[tag][3]
+    return polys.poly_eval(p, lengths) / polys.poly_eval(q, lengths)
 
 
 def closed_form_pair(tag):
     """The closed form as an integer polynomial pair (numerator, denominator).
 
-    Exponent tuples follow the edge order; the pair is in lowest terms.
+    Exponent tuples follow the edge order; the pair is in lowest terms.  The
+    dicts are copies, so a caller may change them.
     """
     arity(tag)
-    if tag == "trivial":
-        return {}, {(): 1}
-    if tag == "I":
-        sigma = {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1}
-        e2 = {(1, 1, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1}
-        p = polys.poly_add(polys.poly_mul(e2, sigma), {(1, 1, 1): -5})
-        q = polys.poly_scale(e2, 12)
-        return p, q
-    if tag == "II":
-        return {(1,): 1}, {(0,): 1}
-    if tag == "III":
-        return {(1,): 1}, {(0,): 12}
-    if tag == "IV":
-        return {(1, 0): 12, (0, 1): 1}, {(0, 0): 12}
-    if tag == "V":
-        return {(1, 0): 1, (0, 1): 1}, {(0, 0): 12}
-    return {(1, 0, 0): 12, (0, 1, 0): 1, (0, 0, 1): 1}, {(0, 0, 0): 12}
+    p, q = CATALOG[tag][3]
+    return dict(p), dict(q)
 
 
 def node_counts(tag, lengths=()):
@@ -114,7 +97,7 @@ def node_counts(tag, lengths=()):
     `catalog_identity_report`.
     """
     lengths = _check_lengths(tag, lengths)
-    _, edges, bridges = CATALOG[tag]
+    _, edges, bridges, _ = CATALOG[tag]
     bridged = sum(x for (eid, _), x in zip(edges, lengths) if eid in bridges)
     return NodeTypeCounts.build(2, xi0_fixed=sum(lengths) - bridged, delta_i=[bridged])
 

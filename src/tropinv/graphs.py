@@ -360,12 +360,8 @@ def _split_edge(g, eid, offset):
     Returns (new graph, new vertex id, left edge id, right edge id); the left
     edge carries [0, offset] of the old edge, preserving orientation.
     """
+    off = check_point(g, EdgePoint(eid, offset)).offset
     e = g.edge(eid)
-    off = as_fraction(offset)
-    if not (0 < off < e.length):
-        raise OffsetOutOfRange(
-            f"offset {format_rational(off)} not strictly inside edge {eid!r} of length {format_rational(e.length)}"
-        )
     vids = set(v.id for v in g.vertices)
     eids = set(x.id for x in g.edges)
     new_vid = _fresh_id(f"{eid}@{format_rational(off)}", vids)
@@ -384,39 +380,31 @@ def insert_point(g, point):
     Returns (refined graph, vertex id).  Vertex points are a no-op and return
     the existing id, so callers can refine unconditionally.
     """
-    point = check_point(g, point)
-    if isinstance(point, VertexPoint):
-        return g, point.vertex
-    g2, vid, _, _ = _split_edge(g, point.edge, point.offset)
-    return g2, vid
-
-
-def remap_point_after_split(point, eid, offset, new_vid, left_id, right_id):
-    """Where a point of the old graph lives after one edge split."""
-    if isinstance(point, VertexPoint) or point.edge != eid:
-        return point
-    if point.offset < offset:
-        return EdgePoint(left_id, point.offset)
-    if point.offset > offset:
-        return EdgePoint(right_id, point.offset - offset)
-    return VertexPoint(new_vid)
+    refined, (vid,) = with_points(g, (point,))
+    return refined, vid
 
 
 def with_points(g, points):
     """Insert several points at once; returns (graph, tuple of vertex ids).
 
     Coinciding points share one vertex; points on the same edge are handled
-    by remapping pending offsets after each split.
+    by remapping pending offsets after each split.  This is the only caller
+    of `_split_edge`.
     """
     current = [check_point(g, p) for p in points]
     graph = g
-    for i in range(len(current)):
-        p = current[i]
+    for p in current:  # each p is read after the splits before it remapped it
         if isinstance(p, VertexPoint):
             continue
         graph, new_vid, left_id, right_id = _split_edge(graph, p.edge, p.offset)
-        for j in range(len(current)):
-            current[j] = remap_point_after_split(current[j], p.edge, p.offset, new_vid, left_id, right_id)
+        for j, q in enumerate(current):
+            if isinstance(q, EdgePoint) and q.edge == p.edge:
+                if q.offset < p.offset:
+                    current[j] = EdgePoint(left_id, q.offset)
+                elif q.offset > p.offset:
+                    current[j] = EdgePoint(right_id, q.offset - p.offset)
+                else:
+                    current[j] = VertexPoint(new_vid)
     return graph, tuple(p.vertex for p in current)
 
 

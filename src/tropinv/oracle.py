@@ -6,7 +6,8 @@ integration; the midpoint error is the only error, so it shrinks like 1/M^2
 and the exact engine value must sit inside the shrinking ladder.  The
 Laplacian probe measures second differences of y -> g(x, y) along an edge and
 compares them with the measure density; the subdivision check asserts exact
-model independence under random refinements.
+model independence under random refinements, each made in one
+`graphs.with_points` call.
 """
 
 from dataclasses import dataclass
@@ -14,16 +15,17 @@ from fractions import Fraction
 import random
 
 from . import circuit, invariants, potentials
-from .graphs import (
-    EdgePoint,
-    VertexPoint,
-    check_point,
-    remap_point_after_split,
-    require_positive_genus,
-    total_length,
-    _split_edge,
-)
+from .errors import FloatOverflow
+from .graphs import EdgePoint, VertexPoint, check_point, require_positive_genus, total_length, with_points
 from .rational import format_rational
+
+
+def _float(value):
+    """The float nearest an exact value; every Fraction this module reports as a float goes through here."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise FloatOverflow("an exact value is too large for a float; the oracle reports floats") from None
 
 
 def _midpoints(length, order):
@@ -59,7 +61,7 @@ def quadrature_phi(g, order):
     if order < 2:
         raise ValueError("quadrature order must be at least 2")
     nu = invariants.diagonal_weights(g, "phi")
-    return float(-total_length(g) / 4 + _diagonal_quadrature(g, order, nu) / 4)
+    return _float(-total_length(g) / 4 + _diagonal_quadrature(g, order, nu) / 4)
 
 
 def quadrature_epsilon(g, order):
@@ -67,7 +69,7 @@ def quadrature_epsilon(g, order):
     require_positive_genus(g)
     if order < 2:
         raise ValueError("quadrature order must be at least 2")
-    return float(_diagonal_quadrature(g, order, invariants.diagonal_weights(g, "epsilon")))
+    return _float(_diagonal_quadrature(g, order, invariants.diagonal_weights(g, "epsilon")))
 
 
 @dataclass(frozen=True)
@@ -133,7 +135,7 @@ def convergence_report(g, quantity="phi", orders=(8, 16, 32, 64), tolerance=1e-3
         raise ValueError(f"unknown oracle quantity {quantity!r}")
     orders = tuple(orders)
     approximations = [approx_fn(g, m) for m in orders]
-    exact_float = float(exact)
+    exact_float = _float(exact)
     errors = [abs(a - exact_float) for a in approximations]
     ratios = []
     for prev, nxt in zip(errors, errors[1:]):
@@ -205,7 +207,7 @@ def quadrature_green_diagonal(g, x, order):
         lambda vid: f(VertexPoint(vid)),
         lambda eid: _midpoint_sum(g, eid, samples[eid], lambda s: f(EdgePoint(eid, s))),
     )
-    return float(f(x) - cap / 2)
+    return _float(f(x) - cap / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +271,9 @@ def laplacian_probe(g, x, eid, step):
     return ProbeReport(
         edge=eid,
         step=format_rational(h),
-        constants=tuple(float(c) for c in constants),
+        constants=tuple(_float(c) for c in constants),
         expected=format_rational(expected),
-        max_deviation=float(max_dev),
+        max_deviation=_float(max_dev),
         consistent=max_dev == 0,
     )
 
@@ -306,65 +308,41 @@ def _random_interior_point(g, rng):
 def subdivision_invariance_check(g, trials=3, seed=0, min_points=1, max_points=5):
     """Insert random interior points and assert exact invariance.
 
-    Each trial refines the graph at `min_points`..`max_points` random rational
-    offsets and compares delta, phi, epsilon, psi, the capacity, and Green
-    values at tracked random point pairs, all with exact equality.  The
-    refined graph solves its own resistance table, so the comparison shares
-    no table with g.
+    Each trial draws two sample points and `min_points`..`max_points` extra
+    random rational offsets on g, refines g at all of them at once through
+    `with_points`, and compares delta, phi, epsilon, psi, the capacity, and
+    Green values at the sample points (read at their vertices in the refined
+    graph), all with exact equality.  The refined graph solves its own
+    resistance table, so the comparison shares no table with g.
     """
     require_positive_genus(g)
     rng = random.Random(seed)
-    base = {
-        "delta": total_length(g),
-        "phi": invariants.phi(g),
-        "epsilon": invariants.epsilon(g),
-        "psi": invariants.psi(g),
-        "capacity": potentials.capacity(g),
-    }
+
+    def values(graph, points):
+        out = {
+            "delta": total_length(graph),
+            "phi": invariants.phi(graph),
+            "epsilon": invariants.epsilon(graph),
+            "psi": invariants.psi(graph),
+            "capacity": potentials.capacity(graph),
+        }
+        pairs = [(a, b) for a in points for b in points]
+        out.update((f"green value #{i}", potentials.green(graph, a, b)) for i, (a, b) in enumerate(pairs))
+        return out
+
     failures = []
     for trial in range(trials):
-        sample_points = [VertexPoint(vid) for vid in g.vertex_ids()[:2]]
+        samples = [VertexPoint(vid) for vid in g.vertex_ids()[:2]]
+        extra = []
         if g.edges:
-            sample_points += [_random_interior_point(g, rng) for _ in range(2)]
-        green_base = [
-            potentials.green(g, a, b)
-            for a in sample_points
-            for b in sample_points
-        ]
-        refined = g
-        tracked = list(sample_points)
-        count = rng.randint(min_points, max_points)
-        for _ in range(count):
-            if not refined.edges:
-                break
-            p = _random_interior_point(refined, rng)
-            refined, new_vid, left, right = _split_edge(refined, p.edge, p.offset)
-            tracked = [
-                remap_point_after_split(q, p.edge, p.offset, new_vid, left, right)
-                for q in tracked
-            ]
-        observed = {
-            "delta": total_length(refined),
-            "phi": invariants.phi(refined),
-            "epsilon": invariants.epsilon(refined),
-            "psi": invariants.psi(refined),
-            "capacity": potentials.capacity(refined),
-        }
-        for name, expected in base.items():
+            samples += [_random_interior_point(g, rng) for _ in range(2)]
+            extra = [_random_interior_point(g, rng) for _ in range(rng.randint(min_points, max_points))]
+        refined, vids = with_points(g, samples + extra)
+        observed = values(refined, [VertexPoint(vid) for vid in vids[: len(samples)]])
+        for name, expected in values(g, samples).items():
             if observed[name] != expected:
                 failures.append(
                     f"trial {trial}: {name} changed from {format_rational(expected)} "
                     f"to {format_rational(observed[name])}"
-                )
-        green_refined = [
-            potentials.green(refined, a, b)
-            for a in tracked
-            for b in tracked
-        ]
-        for i, (before, after) in enumerate(zip(green_base, green_refined)):
-            if before != after:
-                failures.append(
-                    f"trial {trial}: green value #{i} changed from "
-                    f"{format_rational(before)} to {format_rational(after)}"
                 )
     return SubdivisionReport(trials=trials, seed=seed, passed=not failures, failures=tuple(failures))

@@ -27,13 +27,6 @@ def poly_clean(p):
     return {e: c for e, c in p.items() if c != 0}
 
 
-def poly_add(p, q):
-    out = dict(p)
-    for e, c in q.items():
-        out[e] = out.get(e, 0) + c
-    return poly_clean(out)
-
-
 def poly_scale(p, s):
     return poly_clean({e: c * s for e, c in p.items()})
 

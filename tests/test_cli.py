@@ -225,6 +225,19 @@ def test_oracle_rejects_bad_orders(files, capsys):
         assert code == 2
 
 
+def test_oracle_value_beyond_float_range_exits_3(tmp_path):
+    # a loop of length 10^400: phi is exact, but its float is not
+    g = build("III", (10**400,))
+    path = tmp_path / "huge.json"
+    path.write_text(dumps(g))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tropinv", "oracle", str(path), "--orders", "2,4"], capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stderr)["payload"]["error"] == "FloatOverflow"
+
+
 def test_fit_rejects_edgeless_family(files, capsys):
     paths, _ = files
     code, _, err = run(capsys, ["fit", paths["point.json"]])
@@ -350,6 +363,10 @@ _DEEP = b"[" * 100000 + b"]" * 100000
         (_TYPE_II, None, ["hyperelliptic", "GRAPH", "GRAPH", "--decimal", "5"]),
         (_TYPE_II, None, ["fit", "GRAPH", "--decimal", "5"]),
         (_TYPE_II, None, ["oracle", "GRAPH", "--seed", "3", "--decimal", "4"]),
+        # a non-finite tolerance would put NaN or Infinity, which are not JSON, in the envelope
+        (_TYPE_II, None, ["oracle", "GRAPH", "--tolerance", "nan"]),
+        (_TYPE_II, None, ["oracle", "GRAPH", "--tolerance", "inf"]),
+        (_TYPE_II, None, ["oracle", "GRAPH", "--tolerance=-inf"]),
     ],
     ids=[
         "graph-not-utf8",
@@ -370,6 +387,9 @@ _DEEP = b"[" * 100000 + b"]" * 100000
         "hyperelliptic-decimal",
         "fit-decimal",
         "oracle-seed-and-decimal",
+        "tolerance-nan",
+        "tolerance-inf",
+        "tolerance-minus-inf",
     ],
 )
 def test_malformed_input_exit_2_without_traceback(tmp_path, graph, counts, argv):
@@ -398,6 +418,15 @@ def test_help_exits_0_with_usage_text(capsys):
 
 
 # --- fuzzed inputs under a fixed, well-formed argv ---------------------------
+
+def _strict_json(text):
+    """json.loads that rejects NaN and Infinity, which RFC 8259 JSON does not have."""
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
 
 _IDS = st.sampled_from(["a", "b", "c", "e1", ""]) | st.integers(-1, 2) | st.none()
 _LENGTHS = st.one_of(
@@ -486,9 +515,9 @@ def test_fuzzed_inputs_keep_the_cli_contract(tmp_path_factory, command, graph, c
         code = main(argv)
     assert code in (0, 2, 3, 4, 5)
     if code in (0, 5):
-        assert json.loads(out.getvalue())["status"] == code
+        assert _strict_json(out.getvalue())["status"] == code
     else:
-        envelope = json.loads(err.getvalue())
+        envelope = _strict_json(err.getvalue())
         assert envelope["status"] == code
         assert set(envelope["payload"]) == {"error", "message"}
 
@@ -553,8 +582,8 @@ def test_fuzzed_argv_keeps_the_cli_contract(tmp_path_factory, command, positiona
     if code == 0 and out.getvalue().startswith("usage:"):
         return  # an abbreviation of --help prints the help text
     if code in (0, 5):
-        assert json.loads(out.getvalue())["status"] == code
+        assert _strict_json(out.getvalue())["status"] == code
     else:
-        envelope = json.loads(err.getvalue())
+        envelope = _strict_json(err.getvalue())
         assert envelope["status"] == code
         assert set(envelope["payload"]) == {"error", "message"}

@@ -12,6 +12,7 @@ from tropinv import (
     closed_form_phi,
     genus,
     is_stable,
+    phi,
 )
 from tropinv.genus2 import CATALOG, TAGS, arity, catalog_identity_report
 from tropinv.polys import poly_degree, poly_eval
@@ -94,9 +95,16 @@ def test_closed_form_pairs():
     for tag in ("II", "III", "IV", "V", "VI"):
         p, q = closed_form_pair(tag)
         assert poly_degree(p) == 1 and poly_degree(q) == 0
-    # pair evaluations agree with the scalar closed form
+    # pair evaluations agree with the engine, not with closed_form_phi,
+    # which reads the same catalog row
     rng = random.Random(8)
     for tag in ("I", "II", "III", "IV", "V", "VI"):
         lengths = [random_rational(rng) for _ in range(arity(tag))]
         p, q = closed_form_pair(tag)
-        assert poly_eval(p, lengths) / poly_eval(q, lengths) == closed_form_phi(tag, lengths)
+        assert poly_eval(p, lengths) / poly_eval(q, lengths) == phi(build(tag, lengths))
+    # the pair is a copy: changing it leaves the catalog as it was
+    p, q = closed_form_pair("VI")
+    p[(1, 0, 0)] = 0
+    q.clear()
+    assert closed_form_pair("VI") == ({(1, 0, 0): 12, (0, 1, 0): 1, (0, 0, 1): 1}, {(0, 0, 0): 12})
+    assert closed_form_phi("VI", (2, 1, 1)) == 2 + Fraction(2, 12)

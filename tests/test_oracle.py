@@ -17,6 +17,7 @@ from tropinv import (
     resistance,
     subdivision_invariance_check,
 )
+from tropinv import invariants, potentials
 from tropinv.oracle import _midpoints, _potential_quadrature
 from tropinv.graphs import EdgePoint, VertexPoint, on_edge
 
@@ -149,3 +150,23 @@ def test_subdivision_invariance_random():
             continue
         rep = subdivision_invariance_check(g, trials=2, seed=rng.randrange(10**6))
         assert rep.passed, rep.failures
+
+
+@pytest.mark.parametrize(
+    "module, name, failure",
+    [(potentials, "green", "trial 0: green value #"), (invariants, "phi", "trial 0: phi changed from")],
+    ids=["green", "phi"],
+)
+def test_subdivision_check_catches_a_shift_on_refined_graphs(monkeypatch, module, name, failure):
+    # a value shifted by 1/10^6 on every graph with more vertices than g
+    g = build("VI", (2, 1, 1))
+    real = getattr(module, name)
+
+    def shifted(graph, *args):
+        value = real(graph, *args)
+        return value + Fraction(1, 10**6) if len(graph.vertices) > len(g.vertices) else value
+
+    monkeypatch.setattr(module, name, shifted)
+    rep = subdivision_invariance_check(g, trials=1, seed=3)
+    assert not rep.passed
+    assert any(f.startswith(failure) for f in rep.failures), rep.failures
