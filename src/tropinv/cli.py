@@ -56,7 +56,7 @@ def _load_counts(path, genus):
     text, digest = _read_file(path)
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or a number too long to convert
         raise ParseError(f"invalid JSON in {path!r}: {exc}") from exc
     except RecursionError as exc:
         raise ParseError(f"invalid JSON in {path!r}: nested too deeply") from exc
@@ -145,15 +145,20 @@ def cmd_potential(args):
 
 
 def cmd_genus2(args):
-    lengths = [parse_rational(x) for x in args.lengths]
-    equality = genus2.check_closed_form(args.tag, lengths)
-    payload = equality.to_dict()
+    lengths = tuple(parse_rational(x) for x in args.lengths)
     if args.tag != "trivial":
+        # one graph: the identity report's phi is the engine phi of the equality check
         identity = genus2.catalog_identity_report(args.tag, lengths)
+        equality = genus2.EqualityReport(
+            args.tag, lengths, identity.phi, genus2.closed_form_phi(args.tag, lengths)
+        )
+        payload = equality.to_dict()
         payload["identities"] = identity.to_dict()
         payload["node_counts"] = genus2.node_counts(args.tag, lengths).to_json()
         ok = equality.equal and identity.all_hold
     else:
+        equality = genus2.check_closed_form(args.tag, lengths)
+        payload = equality.to_dict()
         ok = equality.equal
     if args.tag == "I":
         rescaled = genus2.check_sunset_rescaling(lengths)

@@ -468,7 +468,7 @@ def dumps(g, indent=None):
 def loads(text):
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or a number too long to convert
         raise ParseError(f"invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ParseError("invalid JSON: nested too deeply") from exc

@@ -45,7 +45,7 @@ class NodeTypeCounts:
 
     @classmethod
     def build(cls, h, xi0_fixed=0, xi=(), delta_i=(), delta0=None):
-        """Normalize, strip trailing zeros from the lists, validate.
+        """Normalize and strip trailing zeros from the lists.
 
         A missing entry reads as 0, so nothing is allocated in proportion
         to h; `to_json` pads the lists to their genus-determined lengths.
@@ -70,11 +70,10 @@ class NodeTypeCounts:
             delta0 = expected_delta0
         else:
             delta0 = as_fraction(delta0)
-        counts = cls(h, xi0, tuple(xi), tuple(delta_i), delta0)
-        counts.validate()
-        return counts
+        return cls(h, xi0, tuple(xi), tuple(delta_i), delta0)
 
-    def validate(self):
+    def __post_init__(self):
+        # every instance is checked once, when it is made; it is frozen after
         if any(x < 0 for x in (self.xi0_fixed, self.delta0, *self.xi, *self.delta_i)):
             raise InconsistentCounts("node counts must be non-negative")
         expected = self.xi0_fixed + 2 * sum(self.xi, Fraction(0))
@@ -128,7 +127,6 @@ class NodeTypeCounts:
 
 def d_invariant(counts):
     """d = h*xi0' + sum_j 2(j+1)(h-j) xi_j + sum_i 4i(h-i) delta_i."""
-    counts.validate()
     h = counts.h
     value = h * counts.xi0_fixed
     for j, x in enumerate(counts.xi):
@@ -140,7 +138,6 @@ def d_invariant(counts):
 
 def psi_from_counts(counts):
     """psi via the explicit hyperelliptic expansion, divided by 2h+1."""
-    counts.validate()
     h = counts.h
     value = (h - 1) * counts.delta0
     for j, x in enumerate(counts.xi):
@@ -157,7 +154,6 @@ def node_count_rhs(counts):
     Equals (h-1) delta0 + sum_j (6(j+1)(h-j) - 6h) xi_j
     + sum_i (12i(h-i) - (2h+1)) delta_i, exactly.
     """
-    counts.validate()
     h = counts.h
     value = (h - 1) * counts.delta0
     for j, x in enumerate(counts.xi):
@@ -221,7 +217,6 @@ def check_identities(g, counts):
     The graph's genus must equal counts.h and its total length the counts'
     total delta; the report carries the exact values of both sides.
     """
-    counts.validate()
     _, h = genus(g)
     if h != counts.h:
         raise GenusMismatch(f"graph has genus {h}, counts have h = {counts.h}")

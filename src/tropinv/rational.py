@@ -23,8 +23,11 @@ def parse_rational(text):
     m = _RATIONAL_RE.match(text)
     if m is None:
         raise ParseError(f"not a rational literal: {text!r}")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) is not None else 1
+    try:
+        num = int(m.group(1))
+        den = int(m.group(2)) if m.group(2) is not None else 1
+    except ValueError:  # more digits than the interpreter converts to an int
+        raise ParseError(f"rational literal too long: {len(text)} characters") from None
     if den == 0:
         raise ParseError(f"zero denominator: {text!r}")
     return Fraction(num, den)

@@ -332,6 +332,10 @@ def test_each_error_exits_with_its_readme_code(files, capsys, monkeypatch, error
 
 _TYPE_II = dumps(build("II", (1,))).encode()
 _DEEP = b"[" * 100000 + b"]" * 100000
+# more digits than Python converts between int and str by default (4300)
+_HUGE = "1" + "0" * 5000
+_TYPE_II_HUGE = _TYPE_II.replace(b'"length": "1"', f'"length": "{_HUGE}"'.encode())
+_TYPE_II_HUGE_NUMBER = _TYPE_II.replace(b'"length": "1"', f'"length": {_HUGE}'.encode())
 
 
 @pytest.mark.parametrize(
@@ -367,6 +371,10 @@ _DEEP = b"[" * 100000 + b"]" * 100000
         (_TYPE_II, None, ["oracle", "GRAPH", "--tolerance", "nan"]),
         (_TYPE_II, None, ["oracle", "GRAPH", "--tolerance", "inf"]),
         (_TYPE_II, None, ["oracle", "GRAPH", "--tolerance=-inf"]),
+        (_TYPE_II_HUGE, None, None),
+        (_TYPE_II, None, ["genus2", "II", _HUGE]),
+        (_TYPE_II_HUGE_NUMBER, None, None),
+        (_TYPE_II, f'{{"h": {_HUGE}}}'.encode(), None),
     ],
     ids=[
         "graph-not-utf8",
@@ -390,6 +398,10 @@ _DEEP = b"[" * 100000 + b"]" * 100000
         "tolerance-nan",
         "tolerance-inf",
         "tolerance-minus-inf",
+        "huge-length-literal",
+        "huge-genus2-length",
+        "huge-length-json-number",
+        "huge-counts-json-number",
     ],
 )
 def test_malformed_input_exit_2_without_traceback(tmp_path, graph, counts, argv):

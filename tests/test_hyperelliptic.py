@@ -33,6 +33,15 @@ def test_counts_validation():
         NodeTypeCounts.build(2, xi=[1, 2])  # genus 2 allows one xi entry
 
 
+def test_direct_construction_is_validated():
+    # made without `build`, an instance is still checked, with build's message
+    with pytest.raises(InconsistentCounts, match=r"^delta0 = 5 but xi0_fixed \+ 2\*sum\(xi\) = 3$"):
+        NodeTypeCounts(2, Fraction(1), (Fraction(1),), (), Fraction(5))
+    with pytest.raises(InconsistentCounts, match="non-negative"):
+        NodeTypeCounts(2, Fraction(-1), (), (), Fraction(-1))
+    assert NodeTypeCounts(2, Fraction(1), (Fraction(1),), (), Fraction(3)) == NodeTypeCounts.build(2, 1, [1])
+
+
 def test_d_invariant_examples():
     m = Fraction(7, 2)
     assert d_invariant(NodeTypeCounts.build(2, delta_i=[m])) == 4 * m

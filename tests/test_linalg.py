@@ -1,10 +1,11 @@
 """The integer kernels of `linalg` against the Fraction reference routines.
 
-`solve_columns` back-substitutes in integers and returns integer
-numerators over the last pivot's absolute value; `nullspace` runs a
-fraction-free Gauss-Jordan.  Both must agree exactly with the Fraction
-routines in `helpers`, and every solution is also checked by substituting
-it back into the system.
+`solve_columns` and `nullspace` share one fraction-free forward
+elimination and one integer back-substitution.  The solve returns integer
+numerators over the last pivot's absolute value; the kernel back-substitutes
+each free column.  Both must agree exactly with the Fraction routines in
+`helpers`, and every solution is also checked by substituting it back into
+the system.
 """
 
 import random
@@ -12,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from tropinv import linalg
+from tropinv import build, fit_phi, linalg
 from tropinv.linalg import InexactDivision, SingularMatrix, invert, nullspace, solve_columns
 
 from helpers import reference_nullspace, reference_solve_columns
@@ -164,6 +165,26 @@ def test_nullspace_of_a_fit_system():
     assert basis == [[0, Fraction(1, 12), 0, 1, 1]]
 
 
+@pytest.mark.parametrize("tag, lengths", [("I", (2, 3, 5)), ("VI", (1, 2, 3))])
+def test_nullspace_of_real_fit_systems(monkeypatch, tag, lengths):
+    """The systems `fit_phi` solves at the found denominator degree and the one below."""
+    systems = []
+    engine_nullspace = linalg.nullspace
+
+    def recorded(rows):
+        systems.append(rows)
+        return engine_nullspace(rows)
+
+    monkeypatch.setattr(linalg, "nullspace", recorded)
+    fit_phi(build(tag, lengths), seed=3)
+    # the walk stops at the first degree with a kernel; type VI stops at degree 0
+    checked = systems[-2:]
+    assert len(checked) == (2 if tag == "I" else 1)
+    for rows in checked:
+        assert len(rows) > len(rows[0])
+    assert [len(_assert_nullspace_matches_reference(rows)) for rows in checked] == [0] * (len(checked) - 1) + [1]
+
+
 def test_exact_quotient_refuses_a_remainder():
     assert linalg._exact_quotient(-12, 4) == -3
     assert linalg._exact_quotient(12, -4) == -3
@@ -177,5 +198,7 @@ def test_forward_elimination_refuses_a_remainder():
     # the rows must be integers; a stray Fraction makes the first division
     # inexact, and flooring it would eliminate a different system
     with pytest.raises(InexactDivision):
-        linalg._bareiss_forward([[2, 1], [1, Fraction(1, 3)]], 2, 2)
-    assert linalg._bareiss_forward([[2, 1], [1, 3]], 2, 2) == [[2, 1], [0, 5]]
+        linalg._bareiss_forward([[2, 1], [1, Fraction(1, 3)]], 2)
+    m = [[2, 1], [1, 3]]
+    assert linalg._bareiss_forward(m, 2) == ([0, 1], 5)
+    assert m == [[2, 1], [0, 5]]

@@ -11,6 +11,8 @@ import random
 import weakref
 from fractions import Fraction
 
+import pytest
+
 from tropinv import (
     EdgePoint,
     PolarizedMetricGraph,
@@ -23,6 +25,8 @@ from tropinv import (
     phi,
     report,
 )
+from tropinv.cli import main
+from tropinv.genus2 import TAGS, arity
 from tropinv.potentials import canonical_measure, potential_profile
 
 from helpers import count_solves, random_connected_graph
@@ -100,6 +104,15 @@ def test_oracle_ladder_solve_count_pinned(monkeypatch):
     convergence_report(g, "phi", (8, 16))
     assert len(solves) == 1
     assert _canonical_misses() - misses == 1
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_genus2_command_solves_once(monkeypatch, capsys, tag):
+    # the closed-form check and the identity report share one catalog graph
+    solves = count_solves(monkeypatch)
+    assert main(["genus2", tag, *["2", "3", "5"][: arity(tag)]]) == 0
+    capsys.readouterr()
+    assert len(solves) <= 1
 
 
 def test_interior_points_build_no_refined_graph(monkeypatch):

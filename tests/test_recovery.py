@@ -104,7 +104,8 @@ def test_denominator_zero():
 def test_fit_validation_transcript():
     fit = fit_phi(build("II", (1,)), seed=31)
     d = fit.to_dict()
-    assert d["validated"] is True
+    # fit_phi raises on a failed held-out sample, so no "validated" flag is reported
+    assert "validated" not in d
     assert d["seed"] == 31
     assert len(d["held_out"]) == 10
     assert len(d["samples"]) >= 2 * 2
