@@ -28,6 +28,7 @@ from .errors import (
     TropinvError,
     UnknownPoint,
     ValidationFailure,
+    ValueTooLarge,
 )
 from .graphs import (
     Divisor,

@@ -92,3 +92,7 @@ class DenominatorZero(TropinvError):
 
 class FloatOverflow(TropinvError):
     """An exact value that must be reported as a float is too large for one."""
+
+
+class ValueTooLarge(TropinvError):
+    """An exact value has more digits than the interpreter writes as a string."""

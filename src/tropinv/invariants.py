@@ -12,6 +12,12 @@ once by closed-form integration of the diagonal f(x) - c, and once through the
 algebraic reductions epsilon = sum K_q(v) f(v) and
 phi = -delta/4 + 3 h c - (1/4) sum K_q(v) f(v).  The reductions are derived
 accelerations, never the sole source of truth: both paths must agree exactly.
+
+A third route (`tau_epsilon_phi`) reads only the vertex resistance table and
+the edge constant kappa(e): the tau constant of Baker and Rumely and the
+polarized pair sum theta give both invariants (Cinkir).  `recovery.fit_phi`
+trains on it and checks its fit against `phi` on held-out lengths; the
+report does not call it.
 """
 
 from dataclasses import dataclass
@@ -19,7 +25,7 @@ from fractions import Fraction
 
 from . import circuit, potentials
 from .errors import CrosscheckFailure
-from .graphs import genus, is_stable, memoized, polarized_divisor, total_length
+from .graphs import genus, is_stable, memoized, polarized_divisor, require_positive_genus, total_length
 from .rational import decimal_string, format_rational
 
 _ZERO = Fraction(0)
@@ -70,6 +76,36 @@ def _dual_values(g):
             f"phi paths disagree: {format_rational(phi_primary)} != {format_rational(phi_secondary)}"
         )
     return eps_primary, phi_primary
+
+
+def tau_epsilon_phi(g):
+    """(epsilon, phi) from the tau constant, with no measure or potential.
+
+    tau = (1/4) integral of (d/dx r(x, y))^2 dx does not depend on y; take y
+    the first vertex.  On e = (p, q) of length L, r(., y) is the quadratic
+    anchored at r(p, y) and r(q, y) with leading coefficient -kappa(e), so e
+    adds (kappa(e)^2 L^3/3 + (r(q, y) - r(p, y))^2 / L) / 4.  With theta the
+    sum over ordered vertex pairs of K_q(p) K_q(q) r(p, q):
+
+        phi     = ((5h-2)/h) tau + theta/(4h) - delta/4
+        epsilon = ((4h-4)/h) tau + theta/(2h)
+
+    Not memoized: `fit_phi` calls it once on each graph it builds.
+    """
+    h = require_positive_genus(g)
+    index, table, d = circuit._vertex_table(g)
+    tau = _ZERO
+    for e in g.edges:
+        r_p, r_q = (table[index[v]][0] for v in e.ends)
+        kappa = circuit.edge_density(g, e.id)
+        tau += kappa**2 * e.length**3 / 3 + Fraction(r_q - r_p, d) ** 2 / e.length
+    tau /= 4
+    k_q = polarized_divisor(g)
+    k = [int(k_q[vid]) for vid in index]
+    theta = Fraction(sum(a * sum(b * t for b, t in zip(k, row)) for a, row in zip(k, table)), d)
+    eps = (4 * h - 4) * tau / h + theta / (2 * h)
+    ph = (5 * h - 2) * tau / h + theta / (4 * h) - total_length(g) / 4
+    return eps, ph
 
 
 @memoized

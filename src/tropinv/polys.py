@@ -51,14 +51,19 @@ def poly_pow(p, k):
 
 
 def poly_eval(p, xs):
-    total = Fraction(0)
+    """p at the point xs of int and Fraction coordinates, as one Fraction.
+
+    Nothing is converted, so at an integer point an integer p is summed in
+    integers and one Fraction is made at the end.
+    """
+    total = 0
     for expo, coeff in p.items():
-        term = Fraction(coeff)
+        term = coeff
         for x, e in zip(xs, expo):
             if e:
-                term *= Fraction(x) ** e
+                term *= x**e
         total += term
-    return total
+    return Fraction(total)
 
 
 def poly_degree(p):

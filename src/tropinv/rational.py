@@ -11,7 +11,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 import re
 
-from .errors import ParseError
+from .errors import ParseError, ValueTooLarge
 
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
@@ -36,9 +36,13 @@ def parse_rational(text):
 def format_rational(value):
     """Render a Fraction (or int) as ``"p"`` / ``"p/q"`` in lowest terms."""
     f = Fraction(value)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    try:
+        if f.denominator == 1:
+            return str(f.numerator)
+        return f"{f.numerator}/{f.denominator}"
+    except ValueError:  # more digits than the interpreter converts to a string
+        bits = max(f.numerator.bit_length(), f.denominator.bit_length())
+        raise ValueTooLarge(f"exact value too large to write: {bits}-bit numerator or denominator") from None
 
 
 def as_fraction(value):

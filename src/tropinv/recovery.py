@@ -3,7 +3,12 @@
 For a graph family with r ordered edges and first Betti number b1, phi is a
 ratio P/Q of homogeneous integer polynomials of degrees 2*b1+1 and 2*b1.  The
 fit samples phi exactly at random integer length vectors and solves the
-homogeneous system P(x) - phi(x) Q(x) = 0 by exact elimination.
+homogeneous system P(x) - phi(x) Q(x) = 0 by exact elimination.  The training
+values come from the tau route (`invariants.tau_epsilon_phi`), which reads
+only the vertex table and kappa(e); the engine's `invariants.phi` is called
+only on the held-out vectors, where the fitted P and Q are evaluated in
+integers.  The held-out check therefore compares two routes that share only
+the table and kappa(e).
 
 The kernel at the full degrees contains every multiple (L*P0, L*Q0) of the
 reduced solution, so the solver walks denominator degrees upward and stops at
@@ -14,7 +19,6 @@ is positive on the whole positive orthant; both forms are recorded.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from math import prod
 import random
@@ -58,7 +62,7 @@ class MultivariateRationalFunction:
         )
 
     def evaluate(self, lengths):
-        xs = [as_fraction(x) for x in lengths]
+        xs = [x if type(x) is int else as_fraction(x) for x in lengths]
         if len(xs) != self.nvars:
             raise ValidationFailure(f"expected {self.nvars} lengths, got {len(xs)}")
         den = polys.poly_eval(self.denominator_poly(), xs)
@@ -141,8 +145,9 @@ def fit_phi(g, seed=0, holdout=10):
 
     Edge lengths of `g` are template values only; variables follow the sorted
     edge id order.  Samples are random integer vectors in [1, 97], at least
-    twice the full coefficient count, plus `holdout` held-out vectors that the
-    fitted function must reproduce exactly.
+    twice the full coefficient count, valued by the tau route, plus `holdout`
+    held-out vectors at which the fitted function must reproduce the
+    engine's phi exactly.
     """
     edge_order = tuple(sorted(e.id for e in g.edges))
     r = len(edge_order)
@@ -157,11 +162,10 @@ def fit_phi(g, seed=0, holdout=10):
     train = vectors[: 2 * dim_full]
     held = vectors[2 * dim_full :]
 
-    def phi_at(vec):
-        lengths = {eid: Fraction(x) for eid, x in zip(edge_order, vec)}
-        return invariants.phi(with_lengths(g, lengths))
+    def graph_at(vec):
+        return with_lengths(g, dict(zip(edge_order, vec)))
 
-    train_values = [phi_at(vec) for vec in train]
+    train_values = [invariants.tau_epsilon_phi(graph_at(vec))[1] for vec in train]
 
     @cache
     def values_at(degree):
@@ -213,7 +217,7 @@ def fit_phi(g, seed=0, holdout=10):
         raise ValidationFailure("fitted polynomials are not homogeneous of the contract degrees")
 
     for vec in held:
-        if function.evaluate(vec) != phi_at(vec):
+        if function.evaluate(vec) != invariants.phi(graph_at(vec)):
             raise ValidationFailure(
                 f"held-out sample {vec} disagrees with the engine value"
             )

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import random
 import re
 import subprocess
 import sys
@@ -236,6 +237,16 @@ def test_oracle_value_beyond_float_range_exits_3(tmp_path):
     assert (proc.returncode, proc.stdout) == (3, "")
     assert "Traceback" not in proc.stderr
     assert json.loads(proc.stderr)["payload"]["error"] == "FloatOverflow"
+
+
+def test_value_beyond_string_limit_exits_3(capsys):
+    # the lengths parse, but phi has more digits than str(int) writes
+    rng = random.Random(1)
+    lengths = [str(rng.randrange(10**1999, 10**2000)) for _ in range(3)]
+    code, out, err = run(capsys, ["genus2", "I", *lengths])
+    assert (code, out) == (errors.ValueTooLarge.exit_code, "") == (3, "")
+    assert "Traceback" not in err
+    assert payload(err)["error"] == "ValueTooLarge"
 
 
 def test_fit_rejects_edgeless_family(files, capsys):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from tropinv import ParseError
+from tropinv import ParseError, ValueTooLarge
 from tropinv.rational import as_fraction, decimal_string, format_rational, parse_rational
 
 
@@ -24,6 +24,13 @@ def test_format():
     assert format_rational(Fraction(3, 1)) == "3"
     assert format_rational(Fraction(-3, 6)) == "-1/2"
     assert format_rational(0) == "0"
+
+
+def test_format_beyond_the_string_limit():
+    # str(int) refuses more than 4300 digits; 10**5000 has 5001
+    for value in (10**5000, Fraction(1, 10**5000), Fraction(10**5000 + 1, 3)):
+        with pytest.raises(ValueTooLarge):
+            format_rational(value)
 
 
 @given(st.integers(min_value=-10**12, max_value=10**12), st.integers(min_value=1, max_value=10**9))

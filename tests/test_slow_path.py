@@ -8,7 +8,8 @@ none of the point rows it interpolates from the vertex table, and not its
 edge constant kappa(e): r(e) comes from a solve of the graph with e
 removed, and the admissible measure is built here from it.
 Exact agreement of epsilon and phi between the two engines certifies the
-fast path.
+fast path, and the tau route (`invariants.tau_epsilon_phi`) that `fit` trains
+on.
 """
 
 import random
@@ -26,6 +27,7 @@ from tropinv import (
     with_points,
 )
 from tropinv.circuit import resistance_between_vertices
+from tropinv.invariants import tau_epsilon_phi
 
 from helpers import certified_profile, excised_by_removal, quad_through, random_connected_graph
 
@@ -128,6 +130,7 @@ def test_slow_engine_agrees():
         eps, ph = _slow_invariants(g)
         assert eps == epsilon(g)
         assert ph == phi(g)
+        assert (eps, ph) == tau_epsilon_phi(g)
         done += 1
 
 
