@@ -36,10 +36,13 @@ def _diagonal_integral(g, nu):
     return potentials.integrate_potential(g, nu) - potentials.capacity(g) * nu.total_mass
 
 
+@memoized
 def diagonal_weights(g, quantity):
     """The measure that g(x,x) is integrated against, as a `potentials.Measure`.
 
     epsilon: (2h-2) mu + delta_{K_q};  phi: (10h+2) mu - delta_{K_q}.
+    Memoized per graph and quantity: the oracle ladder reads it once per
+    order.
     """
     _, h = genus(g)
     mu = potentials.admissible_measure(g)

@@ -4,10 +4,13 @@ The quadrature routes approximate the invariant integrals with midpoint sums
 of pointwise Green values, never reusing the engine's closed-form polynomial
 integration; the midpoint error is the only error, so it shrinks like 1/M^2
 and the exact engine value must sit inside the shrinking ladder.  The
-Laplacian probe measures second differences of y -> g(x, y) along an edge and
-compares them with the measure density; the subdivision check asserts exact
-model independence under random refinements, each made in one
-`graphs.with_points` call.
+diagonal sums evaluate the potential at all midpoints of an edge in one
+`potentials._edge_potentials` call, each midpoint on its own, and add the
+integer numerators over their one denominator; nothing is summed over the
+midpoints in closed form.  The Laplacian probe measures second differences
+of y -> g(x, y) along an edge and compares them with the measure density;
+the subdivision check asserts exact model independence under random
+refinements, each made in one `graphs.with_points` call.
 """
 
 from dataclasses import dataclass
@@ -40,19 +43,22 @@ def _midpoint_sum(g, eid, points, value):
 def _diagonal_quadrature(g, order, nu):
     """Midpoint-rule integral of g(x,x) against a measure nu.
 
-    Atom terms are exact; the continuous part uses only pointwise green calls
-    at `order` midpoint samples per edge.  Returns an exact Fraction (the
-    quadrature sum itself carries the only approximation).
+    Atom terms are exact `potentials.green` values at the vertices.  On an
+    edge the M = `order` midpoints are the points L a/(2M), a = 1, 3, ...,
+    2M - 1, and g(x, x) = f(x) - c at each is the potential from
+    `potentials._edge_potentials`, so the sum over them is the sum of the
+    numerators over their common denominator plus M (C - c).  Returns an
+    exact Fraction (the quadrature sum itself carries the only
+    approximation).
     """
-
-    def diagonal(point):
-        return potentials.green(g, point, point)
+    c = potentials.capacity(g)
+    odd = range(1, 2 * order, 2)
 
     def over_edge(eid):
-        points = _midpoints(g.edge(eid).length, order)
-        return _midpoint_sum(g, eid, points, lambda s: diagonal(EdgePoint(eid, s)))
+        nums, den, offset = potentials._edge_potentials(g, eid, odd, 2 * order)
+        return g.edge(eid).length / order * (Fraction(sum(nums), den) + order * (offset - c))
 
-    return nu.integrate(lambda vid: diagonal(VertexPoint(vid)), over_edge)
+    return nu.integrate(lambda vid: potentials.green(g, VertexPoint(vid), VertexPoint(vid)), over_edge)
 
 
 def quadrature_phi(g, order):
@@ -134,6 +140,8 @@ def convergence_report(g, quantity="phi", orders=(8, 16, 32, 64), tolerance=1e-3
     else:
         raise ValueError(f"unknown oracle quantity {quantity!r}")
     orders = tuple(orders)
+    if not orders:
+        raise ValueError("the quadrature ladder needs at least one order")
     approximations = [approx_fn(g, m) for m in orders]
     exact_float = _float(exact)
     errors = [abs(a - exact_float) for a in approximations]

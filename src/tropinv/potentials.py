@@ -16,15 +16,20 @@ vertex values and edge integrals (`integrate_potential` for f).
 
 At a vertex, f is one weighted row of the resistance table plus a constant,
 f(v) = sum over u of w(u) r(u, v) + C (`_potential_weights`).  At an interior
-point x the same sum runs over x's row (`circuit._point_row`), with the
-weights and the constant shifted as if x were a vertex (`potential`), so
-neither needs a refined graph.  The weights are integers over one common
-denominator and the rows integers over theirs (`circuit._vertex_table`), so
-either sum is one integer dot product and the potential is the first
-Fraction made from it.  On an edge, f is the quadratic anchored at
-its two endpoint potentials with leading coefficient d(e) - kappa(e)
-(`potential_profile`), so a profile costs O(1) once the vertex potentials
-are known.
+point x the same sum runs over x's row, the interpolated row of
+`circuit._point_row`, with the weights and the constant shifted as if x were
+a vertex, so no refined graph is needed.  `_edge_potentials` evaluates that
+sum at any number of points m(e) a/b of one edge at once: the two end rows
+enter only through their weighted sums, so each point costs a few integer
+products and every value is an integer over one denominator per edge.
+`potential` at an interior point is that function at one point, and the
+oracle's midpoint sums call it with all the midpoints of an edge.  The
+weights are integers over one common denominator and the table integers
+over its own (`circuit._vertex_table`), so a vertex potential is one
+integer dot product and the potential is the first Fraction made from it.
+On an edge, f is the quadratic anchored at its two endpoint potentials with
+leading coefficient d(e) - kappa(e) (`potential_profile`), so a profile
+costs O(1) once the vertex potentials are known.
 """
 
 from fractions import Fraction
@@ -32,7 +37,7 @@ from math import lcm
 from operator import mul
 
 from . import circuit
-from .errors import CrosscheckFailure, ProfileSampleMismatch
+from .errors import CrosscheckFailure, OffsetOutOfRange, ProfileSampleMismatch
 from .graphs import (
     EdgePoint,
     VertexPoint,
@@ -182,31 +187,68 @@ def _potential_at_vertex(g, vid):
     return Fraction(sum(map(mul, w, table[index[vid]])), w_den * d) + offset
 
 
+def _edge_potentials(g, eid, nums, b):
+    """(numerators, den, C): f at the points s = L a/b of e = (p, q), L = m(e),
+    one for each a in `nums`, is numerator/den + C.
+
+    Each point x is evaluated on its own, by the weighted row sum of
+    `_potential_weights` over x's row (the row formula of `circuit`), with
+    the weights and the constant of the graph refined at x: x takes d L/2
+    (its own resistance is 0), p gives up d (L - s)/2 and q gives up d s/2,
+    d the density of e, and C falls by d kappa(e) L s (L - s)/2, the amount
+    by which the offsets of the two halves fall short of e's.  So f(x) - C
+    is sum_u w(u) r(x, u) plus d/2 times the shift
+
+        -kappa(e) L s (L - s) - (L - s) r(x, p) - s r(x, q).
+
+    In integers: the table is T over D, the weights w over w_den,
+    W_p = w.T[p], W_q = w.T[q], kappa(e) L^2 = kn/kd and d L/2 = zn/zd.
+    The three terms c1 = kd b (b - a), c2 = kd b a and lift = D kn a (b - a)
+    give the weighted row sum (c1 W_p + c2 W_q + lift sum(w)) over
+    w_den b^2 D kd, and r(x, p) and r(x, q) over b^2 D kd from the same
+    three terms; the shift is then an integer over b^3 D kd.  sum(w) is
+    summed, not taken to be w_den by the mass of the measure.  The edge
+    constants are computed once, so a point costs a few integer products.
+    The a need not be in lowest terms; each must lie in (0, b).
+    """
+    e = g.edge(eid)
+    w, w_den, offset = _potential_weights(g)
+    index, table, d = circuit._vertex_table(g)
+    p, q = (index[end] for end in e.ends)
+    row_p, row_q = table[p], table[q]
+    w_p, w_q, w_sum = sum(map(mul, w, row_p)), sum(map(mul, w, row_q)), sum(w)
+    kappa = circuit.edge_density(g, eid) * e.length**2
+    kn, kd = kappa.numerator, kappa.denominator
+    half = admissible_measure(g).density(eid) * e.length / 2
+    zn, zd = half.numerator, half.denominator
+    dot_scale, shift_scale = b * zd, w_den * zn
+    out = []
+    for a in nums:
+        if not 0 < a < b:
+            raise OffsetOutOfRange(f"point {a}/{b} of edge {eid!r} is not strictly inside it")
+        c1, c2, lift = kd * b * (b - a), kd * b * a, d * kn * a * (b - a)
+        dot = c1 * w_p + c2 * w_q + lift * w_sum
+        r_p = c1 * row_p[p] + c2 * row_q[p] + lift
+        r_q = c1 * row_p[q] + c2 * row_q[q] + lift
+        shift = -kn * a * (b - a) * b * d - (b - a) * r_p - a * r_q
+        out.append(dot_scale * dot + shift_scale * shift)
+    return out, w_den * zd * b**3 * kd * d, offset
+
+
 def potential(g, x):
     """f(x): exact integral of the resistance kernel at x against the measure.
 
-    At an interior point x at offset s on e = (p, q), L = m(e), density d,
-    f(x) is the weighted sum of `_potential_weights` over x's row
-    (`circuit._point_row`), with the weights and the constant of the graph
-    refined at x: x takes d L/2 (its own resistance is 0), p gives up
-    d (L - s)/2 and q gives up d s/2, and C falls by d kappa(e) L s (L - s)/2,
-    the amount by which the offsets of the two halves fall short of e's.
+    A vertex reads its weighted table row (`_potential_at_vertex`); an
+    interior point at offset s on e is `_edge_potentials` at the one point
+    t = s/m(e), in lowest terms.
     """
     require_positive_genus(g)
     x = check_point(g, x)
     if isinstance(x, VertexPoint):
         return _potential_at_vertex(g, x.vertex)
-    w, w_den, offset = _potential_weights(g)
-    index, nums, den = circuit._point_row(g, x)
-    value = Fraction(sum(map(mul, w, nums)), w_den * den) + offset
-    density = admissible_measure(g).density(x.edge)
-    if density == 0:
-        return value
-    e = g.edge(x.edge)
-    length, s = e.length, x.offset
-    r_p, r_q = (Fraction(nums[index[end]], den) for end in e.ends)
-    shift = -circuit.edge_density(g, x.edge) * length * s * (length - s) - (length - s) * r_p - s * r_q
-    return value + density * shift / 2
+    t = x.offset / g.edge(x.edge).length
+    (num,), den, offset = _edge_potentials(g, x.edge, (t.numerator,), t.denominator)
+    return Fraction(num, den) + offset
 
 
 @memoized
@@ -220,9 +262,10 @@ def potential_profile(g, eid):
 
         f(s) = f(p) + b s + A s^2,  b = (f(q) - f(p) - A m(e)^2) / m(e).
 
-    The value at m(e)/5 must equal `potential` there, which reads the point
-    row and the shifted weights, not A: an error in A shows there as
-    4 m(e)^2/25 times itself.
+    The value at m(e)/5 must equal `potential` there, which sums the
+    shifted weights over the point's row and does not use the mass-one
+    identity that A rests on: an error in A shows there as 4 m(e)^2/25
+    times itself.
     """
     require_positive_genus(g)
     e = g.edge(eid)
@@ -276,9 +319,9 @@ def green(g, x, y):
     require_positive_genus(g)
     x = check_point(g, x)
     y = check_point(g, y)
-    fx = potential(g, x)
-    fy = fx if x == y else potential(g, y)
-    return (fx + fy - circuit.resistance(g, x, y)) / 2 - capacity(g)
+    if x == y:
+        return potential(g, x) - capacity(g)
+    return (potential(g, x) + potential(g, y) - circuit.resistance(g, x, y)) / 2 - capacity(g)
 
 
 def green_measure_integral(g, x):
@@ -288,7 +331,7 @@ def green_measure_integral(g, x):
     (f(x) + integral of f - integral of r(x, .))/2 - c.  It is computed on the
     graph refined at x, which solves its own resistance table, through the
     edge quadratics rather than the defining algebra, so it shares neither
-    the point rows nor the shifted weights of `potential` and `green`.
+    the row formula nor the shifted weights of `potential` and `green`.
     """
     require_positive_genus(g)
     c = capacity(g)

@@ -316,6 +316,28 @@ def reference_potential(g, x):
     return value + density * shift / 2
 
 
+def reference_diagonal_quadrature(g, order, nu):
+    """The midpoint rule for the integral of g(x, x) against nu, one `green` call per sample.
+
+    The oracle's route before it evaluated an edge's midpoints together:
+    exact Green values at the atoms, and on each edge with density m(e)/M
+    times the sum of `green(g, x, x)` over the M points of `_midpoints`,
+    each a Fraction, with the capacity subtracted at every point.
+    """
+    from tropinv import potentials
+    from tropinv.oracle import _midpoints
+
+    def diagonal(point):
+        return potentials.green(g, point, point)
+
+    def over_edge(eid):
+        length = g.edge(eid).length
+        values = (diagonal(EdgePoint(eid, s)) for s in _midpoints(length, order))
+        return length / order * sum(values, Fraction(0))
+
+    return nu.integrate(lambda vid: diagonal(VertexPoint(vid)), over_edge)
+
+
 def reference_nullspace(rows):
     """Reference kernel basis: plain Gauss-Jordan over Fractions, largest pivot first."""
     if not rows:

@@ -23,6 +23,7 @@ from tropinv import (
     green,
     insert_point,
     phi,
+    potentials,
     report,
 )
 from tropinv.cli import main
@@ -104,6 +105,25 @@ def test_oracle_ladder_solve_count_pinned(monkeypatch):
     convergence_report(g, "phi", (8, 16))
     assert len(solves) == 1
     assert _canonical_misses() - misses == 1
+
+
+def test_oracle_ladder_evaluates_no_interior_point_alone(monkeypatch):
+    # the ladder's midpoints go through one `_edge_potentials` call per edge
+    # and order, never through `potential` or `green` at an interior point;
+    # phi is computed first, since its profile checks read one such point
+    g = build("I", (1, 2, 3))
+    phi(g)
+    interior = []
+    for name in ("potential", "green"):
+        real = getattr(potentials, name)
+
+        def counted(graph, *points, real=real, name=name):
+            interior.extend(name for x in points if isinstance(x, EdgePoint))
+            return real(graph, *points)
+
+        monkeypatch.setattr(potentials, name, counted)
+    convergence_report(g, "phi", (8, 16))
+    assert interior == []
 
 
 @pytest.mark.parametrize("tag", TAGS)

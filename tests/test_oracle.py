@@ -18,10 +18,10 @@ from tropinv import (
     subdivision_invariance_check,
 )
 from tropinv import invariants, potentials
-from tropinv.oracle import _midpoints, _potential_quadrature
-from tropinv.graphs import EdgePoint, VertexPoint, on_edge
+from tropinv.oracle import _diagonal_quadrature, _midpoints, _potential_quadrature
+from tropinv.graphs import EdgePoint, PolarizedMetricGraph, VertexPoint, on_edge
 
-from helpers import random_connected_graph
+from helpers import is_bridge, random_connected_graph, reference_diagonal_quadrature
 
 
 def test_quadrature_phi_converges_on_sunset():
@@ -52,6 +52,42 @@ def test_quadrature_epsilon():
 def test_quadrature_rejects_low_order():
     with pytest.raises(ValueError):
         quadrature_phi(build("III", (1,)), 1)
+
+
+def test_convergence_report_rejects_no_orders():
+    with pytest.raises(ValueError):
+        convergence_report(build("III", (1,)), "phi", ())
+
+
+def test_diagonal_quadrature_matches_pointwise_green():
+    # the midpoints of an edge evaluated together, over one denominator,
+    # against one `green` call per midpoint with c subtracted at each
+    rng = random.Random(71)
+    one_vertex = PolarizedMetricGraph.build(
+        [("v", 0)], [("a", ("v", "v"), Fraction(2)), ("b", ("v", "v"), Fraction(1, 3))]
+    )
+    cases = [one_vertex] + [random_connected_graph(rng, genus_min=1, genus_max=5, max_vertices=6) for _ in range(44)]
+    seen = set()
+    for g in cases:
+        mu = admissible_measure(g)
+        for e in g.edges:
+            if e.is_loop:
+                seen.add("loop")
+            elif is_bridge(g, e.id):
+                seen.add("bridge")
+            if any(o.id != e.id and set(o.ends) == set(e.ends) for o in g.edges):
+                seen.add("parallel")
+            if mu.density(e.id) == 0:
+                seen.add("zero density")
+        if any(v.q > 0 for v in g.vertices):
+            seen.add("q > 0")
+        if len(g.vertices) == 1 and g.edges:
+            seen.add("one vertex with loops")
+        for quantity in ("phi", "epsilon"):
+            nu = invariants.diagonal_weights(g, quantity)
+            for order in (2, 3, 8):
+                assert _diagonal_quadrature(g, order, nu) == reference_diagonal_quadrature(g, order, nu)
+    assert seen == {"loop", "bridge", "parallel", "zero density", "q > 0", "one vertex with loops"}
 
 
 def test_convergence_report():

@@ -25,7 +25,8 @@ from tropinv.circuit import (
     edge_terminal_quadratic,
     resistance_between_vertices,
 )
-from tropinv.potentials import _potential_at_vertex, profile_integral
+from tropinv.errors import OffsetOutOfRange
+from tropinv.potentials import _edge_potentials, _potential_at_vertex, profile_integral
 
 from helpers import (
     REFINED_KINDS,
@@ -145,7 +146,7 @@ def test_potential_profile_two_loops():
 
 def test_potential_matches_refinement_route():
     rng = random.Random(53)
-    for _ in range(8):
+    for _ in range(40):
         g = random_connected_graph(rng, genus_min=1, genus_max=4)
         if not g.edges:
             continue
@@ -156,6 +157,24 @@ def test_potential_matches_refinement_route():
         e = g.edges[rng.randrange(len(g.edges))]
         s = e.length * Fraction(2, 7)
         assert potential_profile(g, e.id).evaluate(s) == potential(g, EdgePoint(e.id, s))
+
+
+def test_edge_potentials_at_many_points():
+    # the values over one denominator equal `potential` point by point, also
+    # for a/b not in lowest terms; a point at or beyond an end is refused
+    rng = random.Random(57)
+    for _ in range(10):
+        g = random_connected_graph(rng, genus_min=1, genus_max=4)
+        for e in g.edges:
+            b = 2 * rng.randint(2, 6)
+            nums, den, offset = _edge_potentials(g, e.id, range(1, b), b)
+            assert [Fraction(n, den) + offset for n in nums] == [
+                potential(g, EdgePoint(e.id, e.length * Fraction(a, b))) for a in range(1, b)
+            ]
+    g = loop()
+    for bad in ((0,), (1, 4), (-1,)):
+        with pytest.raises(OffsetOutOfRange):
+            _edge_potentials(g, "e", bad, 4)
 
 
 def test_profile_integral_matches_quadratic_integral():
