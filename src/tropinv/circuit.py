@@ -6,25 +6,25 @@ fraction-free solve of the grounded weighted Laplacian per graph, and the
 restriction of a resistance function to an edge is an exact quadratic in the
 arclength parameter.
 
-The vertex table and the point rows are integer numerators over one
-denominator per row: d, the solve's last pivot, for the table
-(`_vertex_table`), and a multiple of it for the row of an interior point
-(`_point_row`).  A Fraction is first made where one value leaves them:
-`resistance_between_vertices` and `_row_entry` for an entry, and
+The vertex table is integers over one denominator, d, the solve's last
+pivot (`_vertex_table`).  A Fraction is first made where one value leaves
+it: `resistance_between_vertices` and `_across` for a resistance, and
 `potentials` for a weighted row sum.
 
 An interior point needs no solve of its own.  Inserting a point x at offset
 s on an edge e = (p, q) of length L as a valence-2 vertex, and eliminating
 it again (a Kron reduction), gives back the same network, so with t = s/L
-the resistances from x to the vertices form the row
+the resistance from x to any point v outside e's interior is
 
     r(x, v) = (1 - t) r(p, v) + t r(q, v) + t (1 - t) (L - r(p, q)),
 
-which for a loop (p = q) reads r(p, v) + s (L - s) / L (`_point_row`).  The
-same formula on the edge of a second interior point y, applied to x's row,
-gives r(x, y); two points of one edge use the closed form
-`same_edge_resistance`.  So a point-level value costs O(V) once the vertex
-table is known, and no refined graph is built.
+which for a loop (p = q) reads r(p, v) + s (L - s) / L.  So x is its
+edge's two ends weighted (1 - t, t) plus a bulge (`_ends`), and the same
+formula applied at a second point y gives r(x, y) as a weighted sum of at
+most four table entries plus both bulges (`_across`), unless both points
+lie inside one edge, where the closed form `same_edge_resistance` holds.
+So a point-level value costs O(1) once the vertex table is known, and no
+refined graph is built.
 
 One edge constant carries everything else an edge needs:
 
@@ -47,7 +47,6 @@ span table (`bench/spans.py`) names them.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from . import linalg
 from .errors import OffsetOutOfRange
@@ -146,66 +145,34 @@ def _vertex_table(g):
     return index, table, d
 
 
-def _interpolated(g, eid, s, nums_p, nums_q, den):
-    """(1 - t) row_p + t row_q + kappa(e) s (m(e) - s), entry by entry, t = s/m(e).
+def _ends(g, x):
+    """(ends, b, bulge): a checked point x as its edge's ends with integer
+    weights over b, plus a bulge.
 
-    The row formula of the module docstring, whose bulge t (1 - t) (m(e) -
-    r(p, q)) is kappa(e) s (m(e) - s): the resistances from the point at
-    offset s on e = (p, q) to the points whose resistances from p and q are
-    row_p = nums_p / den and row_q = nums_q / den; none of them may lie
-    inside e.  With t = a/b in lowest terms, returns the integers over
-    lcm(b den, denominator of the bulge), and that denominator.
+    A vertex v is ((v, 1),) over 1 with bulge 0.  The point at offset s on
+    e = (p, q), with s/m(e) = a/b in lowest terms, is ((p, b - a), (q, a))
+    over b with the bulge kappa(e) s (m(e) - s) of the row formula.
     """
-    length = g.edge(eid).length
-    t = s / length
+    if isinstance(x, VertexPoint):
+        return ((x.vertex, 1),), 1, _ZERO
+    e = g.edge(x.edge)
+    t = x.offset / e.length
     a, b = t.numerator, t.denominator
-    bulge = edge_density(g, eid) * s * (length - s)
-    b_den = b * den
-    out_den = lcm(b_den, bulge.denominator)
-    scale = out_den // b_den
-    lift = bulge.numerator * (out_den // bulge.denominator)
-    nums = tuple(((b - a) * u + a * v) * scale + lift for u, v in zip(nums_p, nums_q))
-    return nums, out_den
+    bulge = edge_density(g, x.edge) * x.offset * (e.length - x.offset)
+    return ((e.ends[0], b - a), (e.ends[1], a)), b, bulge
 
 
-def _point_row(g, x):
-    """(index, nums, den): the resistances nums[i] / den from a checked point x
-    to every vertex, in the order of the table's index.
+def _across(g, x_ends, y_ends):
+    """r(x, y) from the ends (`_ends`) of two points that do not both lie inside one edge.
 
-    A vertex reads its row of the table over d; an interior point
-    interpolates the rows of its edge's ends (see the module docstring).
-    Not memoized: a quadrature ladder evaluates thousands of distinct
-    points.
+    The row formula applied at both points: the weighted sum of at most
+    four table entries over b_x b_y d, plus both bulges.  An end of an edge
+    counts as outside it, where this is u - u^2 kappa(e).
     """
     index, table, d = _vertex_table(g)
-    if isinstance(x, VertexPoint):
-        return index, table[index[x.vertex]], d
-    p, q = g.edge(x.edge).ends
-    return (index, *_interpolated(g, x.edge, x.offset, table[index[p]], table[index[q]], d))
-
-
-def _row_entry(g, index, nums, den, y):
-    """y's entry of a point row (`_point_row`) as a Fraction, for a checked point y.
-
-    y must not share an edge with the row's point (`_interpolated`).
-    """
-    if isinstance(y, VertexPoint):
-        return Fraction(nums[index[y.vertex]], den)
-    p, q = g.edge(y.edge).ends
-    (num,), out_den = _interpolated(g, y.edge, y.offset, (nums[index[p]],), (nums[index[q]],), den)
-    return Fraction(num, out_den)
-
-
-def _offset_on(g, point, eid):
-    """The offset of a checked point along an edge, or None when it is not on it."""
-    if isinstance(point, EdgePoint):
-        return point.offset if point.edge == eid else None
-    e = g.edge(eid)
-    if point.vertex == e.ends[0]:
-        return _ZERO
-    if point.vertex == e.ends[1]:
-        return e.length
-    return None
+    (xs, b_x, bulge_x), (ys, b_y, bulge_y) = x_ends, y_ends
+    num = sum(w_u * w_v * table[index[u]][index[v]] for u, w_u in xs for v, w_v in ys)
+    return Fraction(num, b_x * b_y * d) + bulge_x + bulge_y
 
 
 def resistance_between_vertices(g, u, v):
@@ -218,21 +185,17 @@ def resistance_between_vertices(g, u, v):
 def resistance(g, x, y):
     """Effective resistance between two points of the metric space.
 
-    Two points of one edge (an end counts as lying on the edge) use
-    `same_edge_resistance`.  Any other pair reads y's entry of x's row
-    (`_point_row`, `_row_entry`).  Symmetric, and zero exactly when x = y.
+    Two points inside one edge use `same_edge_resistance`; any other pair
+    is `_across` of their ends.  Symmetric, and zero exactly when x = y.
     """
     require_connected(g)
     x = check_point(g, x)
     y = check_point(g, y)
     if x == y:
         return _ZERO
-    for point in (x, y):
-        if isinstance(point, EdgePoint):
-            s, t = _offset_on(g, x, point.edge), _offset_on(g, y, point.edge)
-            if s is not None and t is not None:
-                return same_edge_resistance(g, point.edge, s, t)
-    return _row_entry(g, *_point_row(g, x), y)
+    if isinstance(x, EdgePoint) and isinstance(y, EdgePoint) and x.edge == y.edge:
+        return same_edge_resistance(g, x.edge, x.offset, y.offset)
+    return _across(g, _ends(g, x), _ends(g, y))
 
 
 # ---------------------------------------------------------------------------

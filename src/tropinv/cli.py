@@ -77,7 +77,7 @@ def parse_point(g, text):
         body = text[len("edge:"):]
         if "@" not in body:
             raise ParseError(f"edge point needs an offset: {text!r}")
-        eid, _, offset_text = body.partition("@")
+        eid, _, offset_text = body.rpartition("@")  # an edge id may contain "@", an offset never
         offset = parse_rational(offset_text)
         e = g.edge(eid)
         if e.ends[0] > e.ends[1]:
@@ -218,14 +218,18 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(f"{self.prog}: {message}")
 
 
+# the most digits a literal or an output may have (Python's default int/str limit)
+_MAX_DIGITS = 4300
+
+
 def _digits(text):
-    """The --decimal digit count K: a non-negative integer."""
+    """The --decimal digit count K: an integer from 0 to `_MAX_DIGITS`."""
     try:
         digits = int(text)
     except ValueError:
         digits = -1
-    if digits < 0:
-        raise argparse.ArgumentTypeError(f"K must be a non-negative integer, got {text!r}")
+    if not 0 <= digits <= _MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"K must be an integer from 0 to {_MAX_DIGITS}, got {text!r}")
     return digits
 
 

@@ -173,26 +173,26 @@ def convergence_report(g, quantity="phi", orders=(8, 16, 32, 64), tolerance=1e-3
 # ---------------------------------------------------------------------------
 
 def _potential_quadrature(g, x, mu, samples):
-    """Midpoint sum of r(x, .) against mu, from x's point row read once.
+    """Midpoint sum of r(x, .) against mu, from x's ends (`circuit._ends`) computed once.
 
     `samples` maps each edge with density to its midpoints (`_midpoints`).
-    A sample on an edge through x is u - u^2 kappa(e), u its distance from x
-    along e (`circuit.same_edge_resistance`); any other sample is its entry
-    of x's row (`circuit._row_entry`).
+    A sample inside x's own edge is u - u^2 kappa(e), u its distance from x
+    along e (`circuit.same_edge_resistance`); any other sample, and every
+    atom, is `circuit._across` from x's ends.
     """
-    index, nums, den = circuit._point_row(g, x)
+    x_ends = circuit._ends(g, x)
+
+    def across(point):
+        return circuit._across(g, x_ends, circuit._ends(g, point))
 
     def over_edge(eid):
-        base = circuit._offset_on(g, x, eid)
-        if base is None:
-            return _midpoint_sum(
-                g, eid, samples[eid], lambda s: circuit._row_entry(g, index, nums, den, EdgePoint(eid, s))
-            )
-        kappa = circuit.edge_density(g, eid)
-        distances = [abs(s - base) for s in samples[eid]]
-        return _midpoint_sum(g, eid, distances, lambda u: u - u * u * kappa)
+        if isinstance(x, EdgePoint) and x.edge == eid:
+            kappa = circuit.edge_density(g, eid)
+            distances = [abs(s - x.offset) for s in samples[eid]]
+            return _midpoint_sum(g, eid, distances, lambda u: u - u * u * kappa)
+        return _midpoint_sum(g, eid, samples[eid], lambda s: across(EdgePoint(eid, s)))
 
-    return mu.integrate(lambda vid: Fraction(nums[index[vid]], den), over_edge)
+    return mu.integrate(lambda vid: across(VertexPoint(vid)), over_edge)
 
 
 def quadrature_green_diagonal(g, x, order):

@@ -16,12 +16,13 @@ vertex values and edge integrals (`integrate_potential` for f).
 
 At a vertex, f is one weighted row of the resistance table plus a constant,
 f(v) = sum over u of w(u) r(u, v) + C (`_potential_weights`).  At an interior
-point x the same sum runs over x's row, the interpolated row of
-`circuit._point_row`, with the weights and the constant shifted as if x were
-a vertex, so no refined graph is needed.  `_edge_potentials` evaluates that
-sum at any number of points m(e) a/b of one edge at once: the two end rows
-enter only through their weighted sums, so each point costs a few integer
-products and every value is an integer over one denominator per edge.
+point x the same sum runs over x's row, the row formula of `circuit` (x as
+its edge's two ends plus a bulge), with the weights and the constant
+shifted as if x were a vertex, so no refined graph is needed.
+`_edge_potentials` evaluates that sum at any number of points m(e) a/b of
+one edge at once: the two end rows enter only through their weighted
+sums, so each point costs a few integer products and every value is an
+integer over one denominator per edge.
 `potential` at an interior point is that function at one point, and the
 oracle's midpoint sums call it with all the midpoints of an edge.  The
 weights are integers over one common denominator and the table integers
@@ -120,9 +121,9 @@ def canonical_measure(g):
 def admissible_measure(g):
     """(1/2h)(delta_{K_q} + 2 mu_can), checked against its simplified form.
 
-    The simplification (atoms q(x)/h, densities mu_can's over h) must agree
-    atom-by-atom and density-by-density with the definition; a mismatch is an
-    implementation bug.
+    The densities are mu_can's over h in both forms, so the simplification
+    is checked on the atoms: the definitional atoms must be q(x)/h, vertex
+    by vertex; a mismatch is an implementation bug.
     """
     h = require_positive_genus(g)
     mu_can = canonical_measure(g)
@@ -130,13 +131,7 @@ def admissible_measure(g):
     atoms = {v.id: (k_q[v.id] + 2 * mu_can.atom(v.id)) / (2 * h) for v in g.vertices}
     densities = {e.id: mu_can.density(e.id) / h for e in g.edges}
     measure = Measure(g, atoms, densities, "admissible")
-    simplified = Measure(
-        g,
-        {v.id: Fraction(v.q, h) for v in g.vertices},
-        densities,
-        "admissible-simplified",
-    )
-    if measure.atoms() != simplified.atoms() or measure.densities() != simplified.densities():
+    if measure.atoms() != sorted((v.id, Fraction(v.q, h)) for v in g.vertices if v.q):
         raise CrosscheckFailure("admissible measure: definitional and simplified forms disagree")
     if measure.total_mass != 1:
         raise CrosscheckFailure(
@@ -161,8 +156,8 @@ def _potential_weights(g):
     quadratics have no engine caller and stay in `circuit` only because
     `bench/spans.py` names them.
     The weights are integers over their common denominator w_den, aligned
-    with the index of the vertex table, so a potential is one integer dot
-    product with a table or point row.
+    with the index of the vertex table, so a vertex potential is one integer
+    dot product with a table row.
     """
     mu = admissible_measure(g)
     index = circuit._vertex_table(g)[0]

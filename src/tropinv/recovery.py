@@ -29,6 +29,8 @@ from .graphs import genus, with_lengths
 from .rational import as_fraction, format_rational
 
 _SAMPLE_RANGE = (1, 97)
+# held-out sample vectors at which a fit must reproduce the engine's phi
+_HOLDOUT = 10
 
 
 @dataclass(frozen=True)
@@ -140,14 +142,14 @@ def _normalized_pair(p_frac, q_frac):
     return p, q
 
 
-def fit_phi(g, seed=0, holdout=10):
+def fit_phi(g, seed=0):
     """Fit phi of the graph's topology as an exact rational function.
 
     Edge lengths of `g` are template values only; variables follow the sorted
     edge id order.  Samples are random integer vectors in [1, 97], at least
-    twice the full coefficient count, valued by the tau route, plus `holdout`
-    held-out vectors at which the fitted function must reproduce the
-    engine's phi exactly.
+    twice the full coefficient count, valued by the tau route, plus
+    `_HOLDOUT` held-out vectors at which the fitted function must reproduce
+    the engine's phi exactly.
     """
     edge_order = tuple(sorted(e.id for e in g.edges))
     r = len(edge_order)
@@ -158,7 +160,7 @@ def fit_phi(g, seed=0, holdout=10):
     deg_q_full = 2 * b1
     dim_full = len(polys.monomials(deg_p_full, r)) + len(polys.monomials(deg_q_full, r))
     rng = random.Random(seed)
-    vectors = _distinct_samples(rng, 2 * dim_full + holdout, r)
+    vectors = _distinct_samples(rng, 2 * dim_full + _HOLDOUT, r)
     train = vectors[: 2 * dim_full]
     held = vectors[2 * dim_full :]
 

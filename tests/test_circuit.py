@@ -19,7 +19,6 @@ from tropinv import (
     with_points,
 )
 from tropinv.circuit import (
-    _point_row,
     _vertex_table,
     cross_integral_quadratic,
     edge_terminal_quadratic,
@@ -34,6 +33,7 @@ from helpers import (
     is_bridge,
     random_connected_graph,
     random_point,
+    reference_point_row,
     refined_cases,
 )
 
@@ -262,10 +262,11 @@ def test_circuit_outputs_invariant_under_refinement():
 
 
 def test_refined_table_matches_fresh_solve(monkeypatch):
-    # the point rows and two-point resistances of interior points against
-    # the vertex table of the graph refined at those points, which solves
-    # its own Laplacian; over single splits, two points on one edge and
-    # chains of 1-4 splits, so pairs on one edge and on different edges
+    # the resistances from interior points to the vertices and to each
+    # other against the vertex table of the graph refined at those points,
+    # which solves its own Laplacian, and against the Fraction reference
+    # row; over single splits, two points on one edge and chains of 1-4
+    # splits, so pairs on one edge and on different edges
     solves = count_solves(monkeypatch)
     seen = set()
     for g, kind, refined, points, vids in refined_cases(random.Random(2013), 30):
@@ -282,14 +283,12 @@ def test_refined_table_matches_fresh_solve(monkeypatch):
             return Fraction(table[index[u]][index[v]], d)
 
         for x, xv in zip(points, vids):
-            row_index, nums, den = _point_row(g, x)
-            assert sorted(row_index) == sorted(g.vertex_ids())
+            ref_index, ref_row = reference_point_row(g, x)
             for v in g.vertex_ids():
-                assert Fraction(nums[row_index[v]], den) == fresh(xv, v), (x, v)
-                assert resistance(g, x, at_vertex(v)) == fresh(xv, v), (x, v)
+                assert resistance(g, x, at_vertex(v)) == fresh(xv, v) == ref_row[ref_index[v]], (x, v)
             for y, yv in zip(points, vids):
                 assert resistance(g, x, y) == fresh(xv, yv), (x, y)
                 if x != y:
                     seen.add("pair on one edge" if x.edge == y.edge else "pair on two edges")
-        assert len(solves) == before + 1, "a point row must not solve"
+        assert len(solves) == before + 1, "a point-level resistance must not solve"
     assert seen >= REFINED_KINDS | {"pair on one edge", "pair on two edges"}

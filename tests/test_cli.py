@@ -147,6 +147,19 @@ def test_green_offset_measured_from_smaller_endpoint(tmp_path, capsys):
     assert out["payload"]["green"] == format_rational(value)
 
 
+def test_edge_id_containing_at_sign(tmp_path, capsys):
+    # the offset follows the last "@", so an edge id may contain one
+    from tropinv import PolarizedMetricGraph, potential
+    from tropinv.rational import format_rational
+
+    g = PolarizedMetricGraph.build([("a", 1), ("b", 0)], [("x@1", ("a", "b"), 3), ("e2", ("b", "b"), 2)])
+    path = tmp_path / "at_sign.json"
+    path.write_text(dumps(g))
+    code, out, err = run(capsys, ["potential", str(path), "--at", "edge:x@1@1/2"])
+    assert (code, err) == (0, "")
+    assert payload(out)["potential"] == format_rational(potential(g, EdgePoint("x@1", Fraction(1, 2))))
+
+
 def test_potential_diagonal_identity(files, capsys):
     paths, _ = files
     code, out, _ = run(capsys, ["potential", paths["loop.json"], "--at", "vertex:v"])
@@ -269,6 +282,10 @@ def test_decimal_flag(files, capsys):
     assert payload(out)["phi_decimal"] == "0.1111"
     _, out, _ = run(capsys, ["invariants", paths["sunset.json"], "--decimal", "0"])
     assert not [key for key in payload(out) if key.endswith("_decimal")]
+    # the largest K: as many digits as any literal or output may have
+    code, out, _ = run(capsys, ["invariants", paths["sunset.json"], "--decimal", "4300"])
+    assert code == 0
+    assert payload(out)["phi_decimal"] == "0." + "1" * 4300
 
 
 def test_module_entry_point(files):
@@ -369,6 +386,9 @@ _TYPE_II_HUGE_NUMBER = _TYPE_II.replace(b'"length": "1"', f'"length": {_HUGE}'.e
         (_TYPE_II, None, ["invariants", "GRAPH", "--no-such-option"]),
         (_TYPE_II, None, ["no-such-command", "GRAPH"]),
         (_TYPE_II, None, ["invariants", "GRAPH", "--decimal", "-1"]),
+        # more digits than any output may have; a huge K would overflow decimal's precision or memory
+        (_TYPE_II, None, ["invariants", "GRAPH", "--decimal", "4301"]),
+        (_TYPE_II, None, ["invariants", "GRAPH", "--decimal", "10000000000000000000"]),
         (_TYPE_II, None, ["oracle", "GRAPH", "--orders", "2,4", "--csv", "."]),
         # --seed belongs to fit alone, --decimal to invariants, green and potential
         (_TYPE_II, None, ["invariants", "GRAPH", "--seed", "3"]),
@@ -398,6 +418,8 @@ _TYPE_II_HUGE_NUMBER = _TYPE_II.replace(b'"length": "1"', f'"length": {_HUGE}'.e
         "unknown-option",
         "unknown-subcommand",
         "negative-decimal-digits",
+        "decimal-digits-over-limit",
+        "decimal-digits-huge",
         "csv-path-is-a-directory",
         "invariants-seed",
         "green-seed",

@@ -25,7 +25,9 @@ from tropinv.circuit import (
     edge_terminal_quadratic,
     resistance_between_vertices,
 )
-from tropinv.errors import OffsetOutOfRange
+from tropinv import potentials
+from tropinv.errors import CrosscheckFailure, OffsetOutOfRange
+from tropinv.graphs import Divisor
 from tropinv.potentials import _edge_potentials, _potential_at_vertex, profile_integral
 
 from helpers import (
@@ -101,6 +103,20 @@ def test_admissible_requires_positive_genus():
         admissible_measure(tree)
     with pytest.raises(GenusZero):
         potential(tree, at_vertex("a"))
+
+
+def test_admissible_certificate_fires_on_a_corrupted_divisor(monkeypatch):
+    # K_q off by one at one vertex moves the definitional atom there by 1/(2h)
+    divisor = potentials.polarized_divisor
+
+    def corrupted(g):
+        k_q = dict(divisor(g).items())
+        k_q["a"] += 1
+        return Divisor(k_q)
+
+    monkeypatch.setattr(potentials, "polarized_divisor", corrupted)
+    with pytest.raises(CrosscheckFailure, match="definitional and simplified forms disagree"):
+        admissible_measure(segment())
 
 
 def test_measure_masses_random():
