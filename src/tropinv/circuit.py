@@ -34,15 +34,15 @@ One edge constant carries everything else an edge needs:
 resistance between e's ends with its interior removed.  It is the density
 of the canonical measure on e, 1/m(e) on a loop and 0 on a bridge, so no
 caller searches for bridges or handles an infinite r(e); only
-`excised_edge_resistance`, r(e) = 1/kappa(e) - m(e), reports infinity.  The
-restriction of a resistance function r(., v) to e is the quadratic anchored
-at its endpoint values with leading coefficient -kappa(e)
-(`edge_terminal_quadratic`); integrated over e it is the trapezoid value
+`excised_edge_resistance`, r(e) = 1/kappa(e) - m(e), reports infinity.  Every
+edge quadratic is `QuadraticProfile.anchored` at its two end values with its
+leading coefficient: r(., v) restricted to e has -kappa(e)
+(`edge_terminal_quadratic`), and its `integral` over e
+(`edge_terminal_integral`) is the trapezoid value
 m(e) (r(p, v) + r(q, v)) / 2 plus kappa(e) m(e)^3 / 6, which does not
-depend on v.  `edge_terminal_integral`, `cross_integral_quadratic` and
-`same_edge_integral_quadratic` state those integrals but have no caller in
-the engine: only tests use them, and they stay here because the benchmark's
-span table (`bench/spans.py`) names them.
+depend on v.  `cross_integral_quadratic` and `same_edge_integral_quadratic`
+have no caller in the engine: only tests use them, and they stay here
+because the benchmark's span table (`bench/spans.py`) names them.
 """
 
 from dataclasses import dataclass
@@ -57,7 +57,7 @@ from .graphs import (
     memoized,
     require_connected,
 )
-from .rational import format_rational
+from .rational import as_fraction, format_rational
 
 _ZERO = Fraction(0)
 
@@ -90,21 +90,26 @@ class ResistanceValue:
 
 @dataclass(frozen=True)
 class QuadraticProfile:
-    """s in [0, m(e)] maps to a*s^2 + b*s + c, all coefficients exact."""
+    """s in [0, m(e)] maps to a*s^2 + b*s + c, all exact; a float argument raises ParseError."""
 
     edge: str
     a: Fraction
     b: Fraction
     c: Fraction
 
+    @classmethod
+    def anchored(cls, edge, length, a, start, end):
+        """The quadratic with leading coefficient a that is `start` at 0 and `end` at `length`."""
+        return cls(edge, a, (end - start - a * length**2) / length, start)
+
     def evaluate(self, s):
-        s = Fraction(s)
+        s = as_fraction(s)
         return (self.a * s + self.b) * s + self.c
 
     def integral(self, upper):
         """Integral over [0, upper]."""
-        u = Fraction(upper)
-        return self.a * u**3 / 3 + self.b * u**2 / 2 + self.c * u
+        u = as_fraction(upper)
+        return u * (self.c + u * (self.b / 2 + u * self.a / 3))
 
 
 # ---------------------------------------------------------------------------
@@ -249,11 +254,12 @@ def same_edge_resistance(g, eid, s, t):
 
     With u = |s-t|, L = m(e) and r = r(e): the direct arc u is in parallel
     with the complementary route L - u + r, giving u (L-u+r)/(L+r), which is
-    u - u^2 kappa(e); on a bridge kappa(e) = 0 and the value is u.
+    u - u^2 kappa(e); on a bridge kappa(e) = 0 and the value is u.  The
+    offsets are ints, Fractions or "p/q" strings; a float raises ParseError.
     """
     e = g.edge(eid)
-    s = Fraction(s)
-    t = Fraction(t)
+    s = as_fraction(s)
+    t = as_fraction(t)
     for value in (s, t):
         if not (0 <= value <= e.length):
             raise OffsetOutOfRange(
@@ -264,8 +270,8 @@ def same_edge_resistance(g, eid, s, t):
 
 
 # ---------------------------------------------------------------------------
-# closed-form quadratics (anchored, leading coefficient -kappa(e)).  The
-# three integrals below have no engine caller: they are the reference route
+# closed-form quadratics, each anchored at its endpoint values.  The two
+# integral quadratics have no engine caller: they are the reference route
 # that tests sum into potential profiles, kept here because `bench/spans.py`
 # names them
 # ---------------------------------------------------------------------------
@@ -278,26 +284,18 @@ def edge_terminal_quadratic(g, eid, vid):
     -kappa(e), which every resistance restriction to e shares.
     """
     e = g.edge(eid)
-    a = -edge_density(g, eid)
-    c = resistance_between_vertices(g, e.ends[0], vid)
-    at_end = resistance_between_vertices(g, e.ends[1], vid)
-    b = (at_end - c - a * e.length**2) / e.length
-    return QuadraticProfile(eid, a, b, c)
+    r_p, r_q = (resistance_between_vertices(g, end, vid) for end in e.ends)
+    return QuadraticProfile.anchored(eid, e.length, -edge_density(g, eid), r_p, r_q)
 
 
 @memoized
 def edge_terminal_integral(g, eid, vid):
-    """Integral over e = (p, q) of resistance(., vertex v).
+    """Integral over e = (p, q) of resistance(., vertex v), from `edge_terminal_quadratic`.
 
-    The anchored quadratic integrates to a L^3/3 + b L^2/2 + c L with
-    b = (r(q, v) - c - a L^2)/L and a = -kappa(e), which is the trapezoid
-    value L (r(p, v) + r(q, v))/2 plus kappa(e) L^3/6, an offset that does
-    not depend on v.  For a loop this is L r(p, v) + L^2/6.
+    That is the trapezoid value m(e) (r(p, v) + r(q, v))/2 plus
+    kappa(e) m(e)^3/6, an offset that does not depend on v.
     """
-    e = g.edge(eid)
-    p = resistance_between_vertices(g, e.ends[0], vid)
-    q = resistance_between_vertices(g, e.ends[1], vid)
-    return e.length * (p + q) / 2 + edge_density(g, eid) * e.length**3 / 6
+    return edge_terminal_quadratic(g, eid, vid).integral(g.edge(eid).length)
 
 
 @memoized
@@ -308,23 +306,20 @@ def cross_integral_quadratic(g, eid, other_eid):
     coefficient -kappa(e) m(e') from integrating the pointwise one over e'.
     """
     e = g.edge(eid)
-    other = g.edge(other_eid)
-    a = -edge_density(g, eid) * other.length
-    c = edge_terminal_integral(g, other_eid, e.ends[0])
-    at_end = edge_terminal_integral(g, other_eid, e.ends[1])
-    b = (at_end - c - a * e.length**2) / e.length
-    return QuadraticProfile(eid, a, b, c)
+    a = -edge_density(g, eid) * g.edge(other_eid).length
+    at_p, at_q = (edge_terminal_integral(g, other_eid, end) for end in e.ends)
+    return QuadraticProfile.anchored(eid, e.length, a, at_p, at_q)
 
 
 @memoized
 def same_edge_integral_quadratic(g, eid):
     """s on e -> integral over e of resistance(point at s, .) along e itself.
 
-    Integrating u - u^2 kappa over u in [0, s] and [0, L - s] gives
-    (1 - L kappa) s^2 - L (1 - L kappa) s + L^2/2 - L^3 kappa/3; on a bridge
-    that is s^2 - L s + L^2/2.
+    Integrating u - u^2 kappa over u in [0, s] and [0, L - s] gives a
+    quadratic with leading coefficient 1 - L kappa and the same value
+    L^2/2 - L^3 kappa/3 at both ends; on a bridge that is s^2 - L s + L^2/2.
     """
     length = g.edge(eid).length
     kappa = edge_density(g, eid)
-    lead = 1 - length * kappa
-    return QuadraticProfile(eid, lead, -length * lead, length**2 / 2 - length**3 * kappa / 3)
+    at_end = length**2 / 2 - length**3 * kappa / 3
+    return QuadraticProfile.anchored(eid, length, 1 - length * kappa, at_end, at_end)

@@ -27,7 +27,7 @@ import sys
 
 from . import genus2, graphs, hyperelliptic, invariants, oracle, potentials, recovery
 from .errors import ParseError, TropinvError
-from .rational import decimal_string, format_rational, parse_rational
+from .rational import exact_fields, parse_rational
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 5
@@ -99,15 +99,6 @@ def _emit(command, digests, payload, status, stream=None):
     return status
 
 
-def _with_decimals(payload, keys, digits):
-    if not digits:
-        return payload
-    for key in keys:
-        if key in payload:
-            payload[key + "_decimal"] = decimal_string(parse_rational(payload[key]), digits)
-    return payload
-
-
 def cmd_invariants(args):
     g, digest = _load_graph(args.graph)
     rep = invariants.report(g)
@@ -122,8 +113,7 @@ def cmd_green(args):
     x = parse_point(g, args.at[0])
     y = parse_point(g, args.at[1])
     value = potentials.green(g, x, y)
-    payload = {"x": args.at[0], "y": args.at[1], "green": format_rational(value)}
-    _with_decimals(payload, ["green"], args.decimal)
+    payload = {"x": args.at[0], "y": args.at[1], **exact_fields({"green": value}, args.decimal)}
     return _emit(args.argv, {"graph": digest}, payload, EXIT_OK)
 
 
@@ -136,11 +126,8 @@ def cmd_potential(args):
     c = potentials.capacity(g)
     payload = {
         "x": args.at[0],
-        "potential": format_rational(f),
-        "capacity": format_rational(c),
-        "green_diagonal": format_rational(f - c),
+        **exact_fields({"potential": f, "capacity": c, "green_diagonal": f - c}, args.decimal),
     }
-    _with_decimals(payload, ["potential", "capacity", "green_diagonal"], args.decimal)
     return _emit(args.argv, {"graph": digest}, payload, EXIT_OK)
 
 

@@ -196,19 +196,19 @@ class IdentityCheckReport:
             "phi": format_rational(self.phi),
             "epsilon": format_rational(self.epsilon),
             "psi": format_rational(self.psi),
-            "phi_identity": {
-                "lhs": format_rational(self.phi_identity_lhs),
-                "rhs": format_rational(self.phi_identity_rhs),
-                "holds": self.phi_identity_holds,
-                "discrepancy": format_rational(self.phi_identity_lhs - self.phi_identity_rhs),
-            },
-            "psi_identity": {
-                "lhs": format_rational(self.psi_identity_lhs),
-                "rhs": format_rational(self.psi_identity_rhs),
-                "holds": self.psi_identity_holds,
-                "discrepancy": format_rational(self.psi_identity_lhs - self.psi_identity_rhs),
-            },
+            "phi_identity": _identity_block(self.phi_identity_lhs, self.phi_identity_rhs),
+            "psi_identity": _identity_block(self.psi_identity_lhs, self.psi_identity_rhs),
         }
+
+
+def _identity_block(lhs, rhs):
+    """Both sides of one identity, whether they agree, and their difference."""
+    return {
+        "lhs": format_rational(lhs),
+        "rhs": format_rational(rhs),
+        "holds": lhs == rhs,
+        "discrepancy": format_rational(lhs - rhs),
+    }
 
 
 def check_identities(g, counts):

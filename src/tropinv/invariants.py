@@ -26,7 +26,7 @@ from fractions import Fraction
 from . import circuit, potentials
 from .errors import CrosscheckFailure
 from .graphs import genus, is_stable, memoized, polarized_divisor, require_positive_genus, total_length
-from .rational import decimal_string, format_rational
+from .rational import exact_fields, format_rational
 
 _ZERO = Fraction(0)
 
@@ -158,11 +158,8 @@ class InvariantReport:
             "admissible_measure": dict(self.admissible_measure),
             "crosschecks": dict(self.crosschecks),
         }
-        for name in ("delta", "epsilon", "phi", "psi", "capacity"):
-            value = getattr(self, name)
-            out[name] = format_rational(value)
-            if decimal_digits:
-                out[name + "_decimal"] = decimal_string(value, decimal_digits)
+        names = ("delta", "epsilon", "phi", "psi", "capacity")
+        out.update(exact_fields({name: getattr(self, name) for name in names}, decimal_digits))
         return out
 
 

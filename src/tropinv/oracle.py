@@ -20,7 +20,7 @@ import random
 from . import circuit, invariants, potentials
 from .errors import FloatOverflow
 from .graphs import EdgePoint, VertexPoint, check_point, require_positive_genus, total_length, with_points
-from .rational import format_rational
+from .rational import as_fraction, format_rational
 
 
 def _float(value):
@@ -51,6 +51,9 @@ def _diagonal_quadrature(g, order, nu):
     exact Fraction (the quadrature sum itself carries the only
     approximation).
     """
+    require_positive_genus(g)
+    if order < 2:
+        raise ValueError("quadrature order must be at least 2")
     c = potentials.capacity(g)
     odd = range(1, 2 * order, 2)
 
@@ -63,18 +66,12 @@ def _diagonal_quadrature(g, order, nu):
 
 def quadrature_phi(g, order):
     """Midpoint-rule approximation of phi at M samples per edge."""
-    require_positive_genus(g)
-    if order < 2:
-        raise ValueError("quadrature order must be at least 2")
     nu = invariants.diagonal_weights(g, "phi")
     return _float(-total_length(g) / 4 + _diagonal_quadrature(g, order, nu) / 4)
 
 
 def quadrature_epsilon(g, order):
     """Midpoint-rule approximation of epsilon at M samples per edge."""
-    require_positive_genus(g)
-    if order < 2:
-        raise ValueError("quadrature order must be at least 2")
     return _float(_diagonal_quadrature(g, order, invariants.diagonal_weights(g, "epsilon")))
 
 
@@ -249,13 +246,15 @@ def laplacian_probe(g, x, eid, step):
     interiors, the measured constant -(g(s+h) - 2 g(s) + g(s-h))/h^2 must
     equal minus the admissible density on the edge, away from x.  Values are
     computed exactly, so the deviation is zero whenever the engine is right.
+    The step is an int, a Fraction or a "p/q" string; a float raises
+    ParseError.
     """
     require_positive_genus(g)
     x = check_point(g, x)
     e = g.edge(eid)
     if isinstance(x, EdgePoint) and x.edge == eid:
         raise ValueError(f"probe point must not lie on edge {eid!r}")
-    h = Fraction(step)
+    h = as_fraction(step)
     parts = e.length / h
     if parts.denominator != 1 or parts < 4:
         raise ValueError("step must divide the edge length into at least 4 parts")

@@ -21,8 +21,9 @@ its edge's two ends plus a bulge), with the weights and the constant
 shifted as if x were a vertex, so no refined graph is needed.
 `_edge_potentials` evaluates that sum at any number of points m(e) a/b of
 one edge at once: the two end rows enter only through their weighted
-sums, so each point costs a few integer products and every value is an
-integer over one denominator per edge.
+sums, the shift of the weights is one edge constant times a (b - a), so
+each point costs a few integer products and every value is an integer
+over one denominator per edge.
 `potential` at an interior point is that function at one point, and the
 oracle's midpoint sums call it with all the midpoints of an edge.  The
 weights are integers over one common denominator and the table integers
@@ -30,7 +31,8 @@ over its own (`circuit._vertex_table`), so a vertex potential is one
 integer dot product and the potential is the first Fraction made from it.
 On an edge, f is the quadratic anchored at its two endpoint potentials with
 leading coefficient d(e) - kappa(e) (`potential_profile`), so a profile
-costs O(1) once the vertex potentials are known.
+costs O(1) once the vertex potentials are known, and its integral is the
+quadratic's (`profile_integral`).
 """
 
 from fractions import Fraction
@@ -151,10 +153,8 @@ def _potential_weights(g):
     Integrating r(., v) over an edge e = (p, q) gives m(e)(r(p, v) + r(q, v))/2
     plus kappa(e) m(e)^3/6, so w(u) is the atom at u plus half the mass of
     each edge end at u (a loop puts its whole mass on its vertex), and C is
-    the sum of density * kappa(e) m(e)^3/6.  `circuit.edge_terminal_integral`
-    states that integral, but nothing here calls it: it and the two integral
-    quadratics have no engine caller and stay in `circuit` only because
-    `bench/spans.py` names them.
+    the sum of density * kappa(e) m(e)^3/6; `circuit.edge_terminal_integral`
+    is that integral, which `green_measure_integral` reads edge by edge.
     The weights are integers over their common denominator w_den, aligned
     with the index of the vertex table, so a vertex potential is one integer
     dot product with a table row.
@@ -196,37 +196,39 @@ def _edge_potentials(g, eid, nums, b):
 
         -kappa(e) L s (L - s) - (L - s) r(x, p) - s r(x, q).
 
+    The row formula at the ends gives r(x, p) = t r(p, q) + kappa(e) s (L - s)
+    and r(x, q) = (1 - t) r(p, q) + kappa(e) s (L - s), t = s/L, so the
+    shift is -2 s (L - s) (kappa(e) L^2 + r(p, q)) / L: one edge constant
+    times s (L - s).  r(p, q) is read from the table, not taken to be
+    L - kappa(e) L^2, so a kappa(e) that disagrees with the table shows in
+    the profiles' m(e)/5 spot check.
+
     In integers: the table is T over D, the weights w over w_den,
     W_p = w.T[p], W_q = w.T[q], kappa(e) L^2 = kn/kd and d L/2 = zn/zd.
-    The three terms c1 = kd b (b - a), c2 = kd b a and lift = D kn a (b - a)
-    give the weighted row sum (c1 W_p + c2 W_q + lift sum(w)) over
-    w_den b^2 D kd, and r(x, p) and r(x, q) over b^2 D kd from the same
-    three terms; the shift is then an integer over b^3 D kd.  sum(w) is
-    summed, not taken to be w_den by the mass of the measure.  The edge
-    constants are computed once, so a point costs a few integer products.
-    The a need not be in lowest terms; each must lie in (0, b).
+    Every value is an integer over w_den zd b^3 D kd.  The weighted row sum
+    gives b zd (kd b ((b - a) W_p + a W_q) + D kn a (b - a) sum(w)) of it,
+    and d/2 times the shift gives bend a (b - a), with the edge constant
+    bend = -2 b w_den zn (kn D + kd T[p][q]).  sum(w) is summed, not taken
+    to be w_den by the mass of the measure.  The edge constants are
+    computed once, so a point costs a few integer products.  The a need
+    not be in lowest terms; each must lie in (0, b).
     """
     e = g.edge(eid)
     w, w_den, offset = _potential_weights(g)
     index, table, d = circuit._vertex_table(g)
     p, q = (index[end] for end in e.ends)
-    row_p, row_q = table[p], table[q]
-    w_p, w_q, w_sum = sum(map(mul, w, row_p)), sum(map(mul, w, row_q)), sum(w)
+    w_p, w_q = sum(map(mul, w, table[p])), sum(map(mul, w, table[q]))
     kappa = circuit.edge_density(g, eid) * e.length**2
     kn, kd = kappa.numerator, kappa.denominator
     half = admissible_measure(g).density(eid) * e.length / 2
     zn, zd = half.numerator, half.denominator
-    dot_scale, shift_scale = b * zd, w_den * zn
+    ends, lift = b * zd * kd * b, b * zd * d * kn * sum(w)
+    bend = -2 * b * w_den * zn * (kn * d + kd * table[p][q])
     out = []
     for a in nums:
         if not 0 < a < b:
             raise OffsetOutOfRange(f"point {a}/{b} of edge {eid!r} is not strictly inside it")
-        c1, c2, lift = kd * b * (b - a), kd * b * a, d * kn * a * (b - a)
-        dot = c1 * w_p + c2 * w_q + lift * w_sum
-        r_p = c1 * row_p[p] + c2 * row_q[p] + lift
-        r_q = c1 * row_p[q] + c2 * row_q[q] + lift
-        shift = -kn * a * (b - a) * b * d - (b - a) * r_p - a * r_q
-        out.append(dot_scale * dot + shift_scale * shift)
+        out.append(ends * ((b - a) * w_p + a * w_q) + (lift + bend) * a * (b - a))
     return out, w_den * zd * b**3 * kd * d, offset
 
 
@@ -264,11 +266,10 @@ def potential_profile(g, eid):
     """
     require_positive_genus(g)
     e = g.edge(eid)
-    length = e.length
     a = admissible_measure(g).density(eid) - circuit.edge_density(g, eid)
     f_p, f_q = (_potential_at_vertex(g, end) for end in e.ends)
-    poly = circuit.QuadraticProfile(eid, a, (f_q - f_p - a * length**2) / length, f_p)
-    s = length / 5
+    poly = circuit.QuadraticProfile.anchored(eid, e.length, a, f_p, f_q)
+    s = e.length / 5
     expected = potential(g, EdgePoint(eid, s))
     if poly.evaluate(s) != expected:
         raise ProfileSampleMismatch(
@@ -280,16 +281,11 @@ def potential_profile(g, eid):
 
 @memoized
 def profile_integral(g, eid):
-    """The integral of f over the edge e = (p, q), in closed form.
+    """The integral of f over the edge e: `potential_profile` integrated over [0, m(e)].
 
-    With f(s) = f(p) + b s + A s^2 on [0, m(e)] (`potential_profile`),
-    the integral is m(e)(f(p) + f(q))/2 - A m(e)^3/6.
+    Memoized: the capacity and both diagonal integrals read it.
     """
-    e = g.edge(eid)
-    length = e.length
-    a = potential_profile(g, eid).a
-    f_p, f_q = (_potential_at_vertex(g, end) for end in e.ends)
-    return length * (f_p + f_q) / 2 - a * length**3 / 6
+    return potential_profile(g, eid).integral(g.edge(eid).length)
 
 
 def integrate_potential(g, nu):
@@ -334,6 +330,6 @@ def green_measure_integral(g, x):
     mu = admissible_measure(refined)
     r_x = mu.integrate(
         lambda vid: circuit.resistance_between_vertices(refined, xv, vid),
-        lambda eid: circuit.edge_terminal_quadratic(refined, eid, xv).integral(refined.edge(eid).length),
+        lambda eid: circuit.edge_terminal_integral(refined, eid, xv),
     )
     return (_potential_at_vertex(refined, xv) + integrate_potential(refined, mu) - r_x) / 2 - c

@@ -65,3 +65,14 @@ def decimal_string(value, digits=12):
         ctx.prec = digits
         d = Decimal(f.numerator) / Decimal(f.denominator)
     return str(d)
+
+
+def exact_fields(values, digits):
+    """{name: "p/q"} for each exact value in `values`, plus {name + "_decimal":
+    its `decimal_string`} when `digits` is not 0."""
+    out = {}
+    for name, value in values.items():
+        out[name] = format_rational(value)
+        if digits:
+            out[name + "_decimal"] = decimal_string(value, digits)
+    return out

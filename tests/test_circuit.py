@@ -7,12 +7,16 @@ from hypothesis import given, settings, strategies as st
 from tropinv import (
     EdgePoint,
     OffsetOutOfRange,
+    ParseError,
     PolarizedMetricGraph,
+    QuadraticProfile,
     at_vertex,
+    build,
     excised_edge_resistance,
     foster_sum,
     genus,
     insert_point,
+    laplacian_probe,
     on_edge,
     resistance,
     same_edge_resistance,
@@ -221,6 +225,30 @@ def test_same_edge_offset_bounds():
         same_edge_resistance(segment(1), "e", 0, 2)
     with pytest.raises(OffsetOutOfRange):
         same_edge_resistance(segment(1), "e", -1, 0)
+
+
+def test_floats_are_refused_like_point_offsets():
+    # 0.1 is a binary fraction, not 1/10: as in `on_edge`, a float raises
+    # ParseError, while ints, Fractions and "p/q" strings are exact
+    g = build("III", (1,))
+    quad = QuadraticProfile("e1", Fraction(1), Fraction(-1), Fraction(1, 2))
+    probe = lambda step: laplacian_probe(build("III", (4,)), at_vertex("v"), "e1", step)
+    for call in (
+        lambda x: same_edge_resistance(g, "e1", x, "3/10"),
+        lambda x: same_edge_resistance(g, "e1", 0, x),
+        quad.evaluate,
+        quad.integral,
+        probe,
+    ):
+        with pytest.raises(ParseError):
+            call(0.1)
+    tenth = Fraction(1, 10)
+    assert same_edge_resistance(g, "e1", "1/10", "3/10") == same_edge_resistance(g, "e1", tenth, Fraction(3, 10))
+    assert same_edge_resistance(g, "e1", 0, 1) == 0
+    assert quad.evaluate("1/10") == quad.evaluate(tenth) == Fraction(41, 100)
+    assert quad.integral(1) == quad.integral("1") == Fraction(1, 3)
+    assert probe("1/2") == probe(Fraction(1, 2))
+    assert probe(1).consistent
 
 
 def test_foster_examples():

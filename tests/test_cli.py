@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from tropinv import build, errors, green
 from tropinv.cli import main
 from tropinv.graphs import EdgePoint, dumps
+from tropinv.rational import decimal_string, parse_rational
 
 
 @pytest.fixture
@@ -275,6 +276,19 @@ def test_decimal_flag(files, capsys):
                                 "--at", "vertex:b", "--decimal", "6"])
     body = payload(out)
     assert body["green_decimal"] == "-0.25"
+    # each `_decimal` field of green and potential is `decimal_string` of the
+    # exact field it names, and each exact field has one
+    for argv in (
+        ["green", paths["sunset.json"], "--at", "vertex:p", "--at", "edge:e2@1/3"],
+        ["potential", paths["sunset.json"], "--at", "edge:e1@2/7"],
+    ):
+        code, out, _ = run(capsys, [*argv, "--decimal", "15"])
+        assert code == 0
+        body = payload(out)
+        exact = [key for key in body if key not in ("x", "y") and not key.endswith("_decimal")]
+        assert sorted(key for key in body if key.endswith("_decimal")) == sorted(f"{key}_decimal" for key in exact)
+        for key in exact:
+            assert body[f"{key}_decimal"] == decimal_string(parse_rational(body[key]), 15)
     # invariants renders 12 digits by default, K on request, none at K = 0
     _, out, _ = run(capsys, ["invariants", paths["sunset.json"]])
     assert payload(out)["phi_decimal"] == "0.111111111111"
