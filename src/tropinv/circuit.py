@@ -31,7 +31,9 @@ One edge constant carries everything else an edge needs:
     kappa(e) = (m(e) - r(p, q)) / m(e)^2 = 1 / (m(e) + r(e))
 
 (`edge_density`), with r(p, q) read from the vertex table and r(e) the
-resistance between e's ends with its interior removed.  It is the density
+resistance between e's ends with its interior removed.  Over the table's
+integers it is an integer K_e over one D per graph (`_edge_constants`),
+which the measures and the tau route of `invariants` read.  It is the density
 of the canonical measure on e, 1/m(e) on a loop and 0 on a bridge, so no
 caller searches for bridges or handles an infinite r(e); only
 `excised_edge_resistance`, r(e) = 1/kappa(e) - m(e), reports infinity.  Every
@@ -47,6 +49,7 @@ because the benchmark's span table (`bench/spans.py`) names them.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .errors import OffsetOutOfRange
@@ -208,6 +211,24 @@ def resistance(g, x, y):
 # ---------------------------------------------------------------------------
 
 @memoized
+def _edge_constants(g):
+    """(K, D): kappa(e) = K[e.id] / D on every edge, integers over one D > 0.
+
+    kappa(e) = (m(e) - r(p, q)) / m(e)^2 with r(p, q) = T[p][q]/d read from
+    the vertex table.  With m(e) = a/b and l the lcm of the squared length
+    numerators, that is b (a d - b T[p][q]) (l/a^2) over D = d l.
+    """
+    index, table, d = _vertex_table(g)
+    l = lcm(*(e.length.numerator ** 2 for e in g.edges))
+    consts = {}
+    for e in g.edges:
+        a, b = e.length.numerator, e.length.denominator
+        t_pq = table[index[e.ends[0]]][index[e.ends[1]]]
+        consts[e.id] = b * (a * d - b * t_pq) * (l // a**2)
+    return consts, d * l
+
+
+@memoized
 def edge_density(g, eid):
     """kappa(e) = (m(e) - r(p, q)) / m(e)^2, with r(p, q) read from the vertex table.
 
@@ -215,11 +236,12 @@ def edge_density(g, eid):
     edge at once: a loop has r(p, q) = 0, so kappa = 1/m(e); a bridge carries
     all current between its ends, so r(p, q) = m(e) and kappa = 0; any other
     edge is in parallel with the excised network, so
-    m(e) - r(p, q) = m(e)^2 / (m(e) + r(e)).
+    m(e) - r(p, q) = m(e)^2 / (m(e) + r(e)).  It is the one Fraction made
+    from `_edge_constants`.
     """
-    e = g.edge(eid)
-    r_pq = resistance_between_vertices(g, e.ends[0], e.ends[1])
-    return (e.length - r_pq) / e.length**2
+    g.edge(eid)  # an unknown id raises UnknownPoint
+    consts, den = _edge_constants(g)
+    return Fraction(consts[eid], den)
 
 
 def excised_edge_resistance(g, eid):

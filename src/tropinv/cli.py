@@ -245,35 +245,29 @@ def build_parser():
     p = sub.add_parser("invariants", help="full invariant report for a graph file")
     p.add_argument("graph")
     decimal(p, 12)
-    p.set_defaults(fn=cmd_invariants)
 
     p = sub.add_parser("green", help="Green function value at two points")
     p.add_argument("graph")
     p.add_argument("--at", action="append", default=[], metavar="POINT",
                    help="vertex:ID or edge:ID@p/q (twice)")
     decimal(p, 0)
-    p.set_defaults(fn=cmd_green)
 
     p = sub.add_parser("potential", help="potential, capacity and diagonal Green value")
     p.add_argument("graph")
     p.add_argument("--at", action="append", default=[], metavar="POINT")
     decimal(p, 0)
-    p.set_defaults(fn=cmd_potential)
 
     p = sub.add_parser("genus2", help="catalog closed form vs engine for a genus-2 type")
     p.add_argument("tag", choices=list(genus2.TAGS))
     p.add_argument("lengths", nargs="*", help="edge lengths as p/q")
-    p.set_defaults(fn=cmd_genus2)
 
     p = sub.add_parser("hyperelliptic", help="node-count identities for a graph + counts file")
     p.add_argument("graph")
     p.add_argument("counts")
-    p.set_defaults(fn=cmd_hyperelliptic)
 
     p = sub.add_parser("fit", help="recover phi as an exact rational function")
     p.add_argument("family", help="graph file; edge lengths are treated as symbolic")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized steps")
-    p.set_defaults(fn=cmd_fit)
 
     p = sub.add_parser("oracle", help="quadrature convergence ladder")
     p.add_argument("graph")
@@ -281,24 +275,32 @@ def build_parser():
     p.add_argument("--quantity", choices=["phi", "epsilon"], default="phi")
     p.add_argument("--tolerance", type=_tolerance, default=1e-3)
     p.add_argument("--csv", metavar="PATH", help="also write the ladder as CSV")
-    p.set_defaults(fn=cmd_oracle)
 
     return parser
 
 
+# built by the first `main` call, not at import, and kept for every later call
+_parser = None
+
+
 def main(argv=None):
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     raw = list(argv) if argv is not None else sys.argv[1:]
     try:
-        args = parser.parse_args(raw)
+        args = _parser.parse_args(raw)
     except ParseError as exc:
         return _fail(raw, exc, exc.exit_code)
     except SystemExit as exc:
         # --help prints its text and exits 0
         return int(exc.code) if exc.code else EXIT_OK
     args.argv = raw
+    # looked up by name on every call, so a rebinding of cmd_<command> after
+    # the parser was built is the one that runs
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.fn(args)
+        return command(args)
     except TropinvError as exc:
         return _fail(raw, exc, exc.exit_code)
 

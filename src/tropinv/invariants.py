@@ -12,103 +12,155 @@ once by closed-form integration of the diagonal f(x) - c, and once through the
 algebraic reductions epsilon = sum K_q(v) f(v) and
 phi = -delta/4 + 3 h c - (1/4) sum K_q(v) f(v).  The reductions are derived
 accelerations, never the sole source of truth: both paths must agree exactly.
+Both are dot products with the weighted sums T.w of the potential
+(`potentials._weighted_sums`), so an error in T.w that moves f at a vertex
+with K_q(v) != 0 moves both alike.
 
-A third route (`tau_epsilon_phi`) reads only the vertex resistance table and
-the edge constant kappa(e): the tau constant of Baker and Rumely and the
-polarized pair sum theta give both invariants (Cinkir).  `recovery.fit_phi`
-trains on it and checks its fit against `phi` on held-out lengths; the
-report does not call it.
+So a third route certifies them (`_tau_route`).  It reads only the vertex
+resistance table and the edge constant kappa(e): the tau constant of Baker
+and Rumely and the polarized pair sum theta give both invariants (Cinkir).
+`_dual_values` checks both paths against it, and a disagreement raises
+CrosscheckFailure.  `recovery.fit_phi` trains on the same route through its
+public name, `tau_epsilon_phi`, and checks its fit against `phi` on
+held-out lengths.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from . import circuit, potentials
 from .errors import CrosscheckFailure
 from .graphs import genus, is_stable, memoized, polarized_divisor, require_positive_genus, total_length
 from .rational import exact_fields, format_rational
 
-_ZERO = Fraction(0)
+
+def _diagonal_scale(quantity, h):
+    """(scale, sign) of the measure scale mu + sign delta_{K_q} that g(x, x) is
+    integrated against: epsilon (2h-2) mu + delta_{K_q}, phi (10h+2) mu - delta_{K_q}."""
+    return (2 * h - 2, 1) if quantity == "epsilon" else (10 * h + 2, -1)
 
 
-def _diagonal_integral(g, nu):
-    """Exact integral of the diagonal g(x, x) = f(x) - c against a measure nu."""
-    return potentials.integrate_potential(g, nu) - potentials.capacity(g) * nu.total_mass
+def _diagonal_integral(g, quantity):
+    """Exact integral of the diagonal g(x, x) = f(x) - c against nu = scale mu + sign delta_{K_q}.
+
+    nu's vertex weights are scale w/w_den + sign K_q, w those of
+    `potentials._potential_weights`, and its densities (scale/h) kappa(e),
+    so the integral of f is one dot product with the weighted sums
+    (`potentials._potential_integral`).
+    """
+    _, h = genus(g)
+    scale, sign = _diagonal_scale(quantity, h)
+    w, w_den, _ = potentials._potential_weights(g)
+    u = [scale * a + sign * w_den * b for a, b in zip(w, _polarization(g))]
+    integral, mass = potentials._potential_integral(g, u, w_den, Fraction(scale, h))
+    return integral - potentials.capacity(g) * mass
 
 
 @memoized
 def diagonal_weights(g, quantity):
-    """The measure that g(x,x) is integrated against, as a `potentials.Measure`.
+    """The measure that g(x,x) is integrated against (`_diagonal_scale`), as a `potentials.Measure`.
 
-    epsilon: (2h-2) mu + delta_{K_q};  phi: (10h+2) mu - delta_{K_q}.
     Memoized per graph and quantity: the oracle ladder reads it once per
     order.
     """
     _, h = genus(g)
     mu = potentials.admissible_measure(g)
     k_q = polarized_divisor(g)
-    scale, sign = (2 * h - 2, 1) if quantity == "epsilon" else (10 * h + 2, -1)
+    scale, sign = _diagonal_scale(quantity, h)
     atoms = {v.id: scale * mu.atom(v.id) + sign * k_q[v.id] for v in g.vertices}
     densities = {e.id: scale * mu.density(e.id) for e in g.edges}
     return potentials.Measure(g, atoms, densities, quantity)
 
 
-def _dual_values(g):
-    """(epsilon, phi) with both computation paths checked against each other."""
-    _, h = genus(g)
+@memoized
+def _polarization(g):
+    """K_q as ints, aligned with the index of the vertex table."""
     k_q = polarized_divisor(g)
+    return [int(k_q[vid]) for vid in circuit._vertex_table(g)[0]]
+
+
+def _check(name, first, second):
+    if first != second:
+        raise CrosscheckFailure(f"{name} disagree: {format_rational(first)} != {format_rational(second)}")
+
+
+def _dual_values(g):
+    """(epsilon, phi) with both computation paths checked against each other
+    and against the tau route."""
+    _, h = genus(g)
     c = potentials.capacity(g)
     delta = total_length(g)
 
-    eps_primary = _diagonal_integral(g, diagonal_weights(g, "epsilon"))
-    phi_primary = -delta / 4 + _diagonal_integral(g, diagonal_weights(g, "phi")) / 4
+    eps_primary = _diagonal_integral(g, "epsilon")
+    phi_primary = -delta / 4 + _diagonal_integral(g, "phi") / 4
 
-    kq_f = sum(
-        (k_q[v.id] * potentials._potential_at_vertex(g, v.id) for v in g.vertices),
-        _ZERO,
-    )
+    # sum of K_q(v) f(v), with f(v) = TW[v]/(w_den d) + C
+    _, w_den, offset = potentials._potential_weights(g)
+    k = _polarization(g)
+    d = circuit._vertex_table(g)[2]
+    kq_f = Fraction(sum(map(mul, k, potentials._weighted_sums(g))), w_den * d) + offset * sum(k)
     eps_secondary = kq_f
     phi_secondary = -delta / 4 + 3 * h * c - kq_f / 4
 
-    if eps_primary != eps_secondary:
-        raise CrosscheckFailure(
-            f"epsilon paths disagree: {format_rational(eps_primary)} != {format_rational(eps_secondary)}"
-        )
-    if phi_primary != phi_secondary:
-        raise CrosscheckFailure(
-            f"phi paths disagree: {format_rational(phi_primary)} != {format_rational(phi_secondary)}"
-        )
+    _check("epsilon paths", eps_primary, eps_secondary)
+    _check("phi paths", phi_primary, phi_secondary)
+    eps_tau, phi_tau = _tau_route(g)
+    _check("epsilon and the tau route", eps_primary, eps_tau)
+    _check("phi and the tau route", phi_primary, phi_tau)
     return eps_primary, phi_primary
 
 
-def tau_epsilon_phi(g):
+def _tau_route(g):
     """(epsilon, phi) from the tau constant, with no measure or potential.
 
     tau = (1/4) integral of (d/dx r(x, y))^2 dx does not depend on y; take y
-    the first vertex.  On e = (p, q) of length L, r(., y) is the quadratic
-    anchored at r(p, y) and r(q, y) with leading coefficient -kappa(e), so e
-    adds (kappa(e)^2 L^3/3 + (r(q, y) - r(p, y))^2 / L) / 4.  With theta the
-    sum over ordered vertex pairs of K_q(p) K_q(q) r(p, q):
+    the first vertex, the ground of the table.  On e = (p, q) of length L,
+    r(., y) is the quadratic anchored at r(p, y) and r(q, y) with leading
+    coefficient -kappa(e), so e adds (kappa(e)^2 L^3/3 + (r(q, y) - r(p, y))^2 / L) / 4.
+    With theta the sum over ordered vertex pairs of K_q(p) K_q(q) r(p, q):
 
         phi     = ((5h-2)/h) tau + theta/(4h) - delta/4
         epsilon = ((4h-4)/h) tau + theta/(2h)
 
-    Not memoized: `fit_phi` calls it once on each graph it builds.
+    In integers, with the table T over d and kappa(e) = K_e/D
+    (`circuit._edge_constants`), L = a/b and l, n the lcms of the length
+    denominators and numerators:
+
+        4 tau = sum K_e^2 a^3 (l/b)^3 / (3 D^2 l^3) + sum (T_qy - T_py)^2 b (n/a) / (d^2 n)
+        theta = k.T.k / d
+
+    It shares only T and kappa(e) with the two paths of `_dual_values`.
     """
     h = require_positive_genus(g)
     index, table, d = circuit._vertex_table(g)
-    tau = _ZERO
+    consts, big_d = circuit._edge_constants(g)
+    l = lcm(*(e.length.denominator for e in g.edges))
+    n = lcm(*(e.length.numerator for e in g.edges))
+    bulk = slope = 0
     for e in g.edges:
-        r_p, r_q = (table[index[v]][0] for v in e.ends)
-        kappa = circuit.edge_density(g, e.id)
-        tau += kappa**2 * e.length**3 / 3 + Fraction(r_q - r_p, d) ** 2 / e.length
-    tau /= 4
-    k_q = polarized_divisor(g)
-    k = [int(k_q[vid]) for vid in index]
-    theta = Fraction(sum(a * sum(b * t for b, t in zip(k, row)) for a, row in zip(k, table)), d)
-    eps = (4 * h - 4) * tau / h + theta / (2 * h)
-    ph = (5 * h - 2) * tau / h + theta / (4 * h) - total_length(g) / 4
+        a, b = e.length.numerator, e.length.denominator
+        t_p, t_q = (table[index[v]][0] for v in e.ends)
+        bulk += consts[e.id] ** 2 * a**3 * (l // b) ** 3
+        slope += (t_q - t_p) ** 2 * b * (n // a)
+    tau4 = Fraction(bulk, 3 * big_d**2 * l**3) + Fraction(slope, d * d * n)
+    k = _polarization(g)
+    theta = Fraction(sum(a * sum(map(mul, k, row)) for a, row in zip(k, table) if a), d)
+    eps = (h - 1) * tau4 / h + theta / (2 * h)
+    ph = (5 * h - 2) * tau4 / (4 * h) + theta / (4 * h) - total_length(g) / 4
     return eps, ph
+
+
+def tau_epsilon_phi(g):
+    """(epsilon, phi) from the tau constant alone (`_tau_route`).
+
+    `recovery.fit_phi` trains on it; `_dual_values` calls `_tau_route`
+    itself, so replacing this name changes what `fit_phi` trains on and
+    nothing else.  Not memoized: `fit_phi` calls it once on each graph it
+    builds.
+    """
+    return _tau_route(g)
 
 
 @memoized
@@ -164,9 +216,10 @@ class InvariantReport:
 
 
 # The checks a report names.  Each raises CrosscheckFailure where it runs
-# (the two paths in `_dual_values`, the masses and the two admissible forms
-# in `potentials`, the Foster identity in `report`), and psi is the
-# combination by definition, so a report that exists records each as held.
+# (the two paths and the tau route in `_dual_values`, the masses and the two
+# admissible forms in `potentials`, the Foster identity in `report`), and psi
+# is the combination by definition, so a report that exists records each as
+# held.
 _CROSSCHECKS = (
     "epsilon_paths_agree",
     "phi_paths_agree",

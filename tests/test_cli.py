@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import random
 import re
 import subprocess
@@ -474,6 +475,66 @@ def test_help_exits_0_with_usage_text(capsys):
     code, out, err = run(capsys, ["invariants", "--help"])
     assert code == 0
     assert out.startswith("usage: tropinv invariants") and err == ""
+
+
+# Runs each argv of a JSON list on stdin in a forked child of an interpreter
+# that has imported the CLI but never called `main`, so each child starts as
+# a fresh `tropinv` process would; the child's stdout and stderr go to the
+# files N.out and N.err in the directory argv[1], and the exit codes, in
+# order, are the one line this prints.
+_FRESH_CALLS = """
+import json, os, sys
+from tropinv.cli import main
+
+codes = []
+for i, argv in enumerate(json.load(sys.stdin)):
+    pid = os.fork()
+    if pid == 0:
+        for fd, name in ((1, "out"), (2, "err")):
+            os.dup2(os.open(os.path.join(sys.argv[1], f"{i}.{name}"), os.O_WRONLY | os.O_CREAT), fd)
+        code = main(argv)
+        sys.stdout.flush()
+        sys.stderr.flush()
+        os._exit(code)
+    codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+print(json.dumps(codes))
+"""
+
+
+def test_repeated_main_calls_match_fresh_processes(files, capsys, monkeypatch):
+    # `main` builds its parser once per process; every call must still print
+    # what a fresh process prints for its argv, with nothing carried over
+    # from an earlier call: no --at point, no help text, no usage error
+    import tropinv.cli as cli
+
+    paths, tmp_path = files
+    sunset, loop, type_ii = paths["sunset.json"], paths["loop.json"], paths["typeII.json"]
+    argvs = [
+        ["invariants", sunset],
+        ["green", sunset, "--at", "vertex:p", "--at", "edge:e1@1/3"],
+        ["--help"],
+        ["green", sunset, "--at", "edge:e2@1/2", "--at", "vertex:q", "--decimal", "3"],
+        ["potential", loop, "--at", "edge:e1@1/4"],
+        ["green", sunset, "--at"],
+        ["invariants", loop, "--decimal", "5"],
+        ["genus2", "I", "1", "2", "3"],
+        ["hyperelliptic", type_ii, paths["countsII.json"]],
+        ["fit", type_ii, "--seed", "3"],
+        ["oracle", loop, "--orders", "8,16"],
+    ]
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help text to the terminal width
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_CALLS, str(fresh)],
+        input=json.dumps(argvs), capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+    )
+    codes = json.loads(proc.stdout)
+    monkeypatch.setattr(cli, "_parser", None)
+    for i, argv in enumerate(argvs):
+        expected = (codes[i], (fresh / f"{i}.out").read_text(), (fresh / f"{i}.err").read_text())
+        assert run(capsys, argv) == expected, argv
 
 
 # --- fuzzed inputs under a fixed, well-formed argv ---------------------------

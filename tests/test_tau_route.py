@@ -2,20 +2,22 @@
 
 It reads only the vertex table and kappa(e), so its exact agreement with the
 engine's two paths (`_dual_values`, which integrate against measures and
-potentials) checks both.  The slow engine of `test_slow_path.py`, which
-shares no table, checks it on that file's graphs.
+potentials) checks both, and `_dual_values` runs it as a certificate.  The
+slow engine of `test_slow_path.py`, which shares no table, checks it on that
+file's graphs.
 """
 
-import random
+import json
 from fractions import Fraction
 
 import pytest
 
-from tropinv import GenusZero, PolarizedMetricGraph, build, fit_phi, total_length
-from tropinv import circuit, invariants
-from tropinv.genus2 import CATALOG, arity
+from tropinv import CrosscheckFailure, GenusZero, PolarizedMetricGraph, build, fit_phi, total_length
+from tropinv import circuit, invariants, potentials
+from tropinv.cli import main
+from tropinv.graphs import dumps
 
-from helpers import is_bridge, random_connected_graph
+from helpers import is_bridge, seeded_cases
 
 
 def _tau(g, y):
@@ -33,23 +35,7 @@ def _route_tau(g):
     return (ph - eps / 2 + total_length(g) / 4) / 3
 
 
-def _cases():
-    rng = random.Random(17)
-    graphs = [random_connected_graph(rng, genus_min=1, genus_max=4, max_vertices=6) for _ in range(60)]
-    graphs += [build(tag, (Fraction(2), Fraction(3, 7), Fraction(5, 2))[: arity(tag)]) for tag in CATALOG if arity(tag)]
-    graphs.append(
-        PolarizedMetricGraph.build([("v", 0)], [("a", ("v", "v"), Fraction(3, 2)), ("b", ("v", "v"), 5)])
-    )
-    graphs.append(
-        PolarizedMetricGraph.build(
-            [("a", 1), ("b", 0), ("c", 2)],
-            [("ab", ("a", "b"), Fraction(4, 3)), ("bc", ("b", "c"), 2)],
-        )
-    )
-    return graphs
-
-
-CASES = _cases()
+CASES = seeded_cases()
 
 
 def test_cases_cover_every_kind_of_edge_and_vertex():
@@ -57,6 +43,11 @@ def test_cases_cover_every_kind_of_edge_and_vertex():
     assert any(e.is_loop for g in CASES for e in g.edges)
     assert any(is_bridge(g, e.id) for g in CASES for e in g.edges)
     assert any(not e.is_loop and not is_bridge(g, e.id) for g in CASES for e in g.edges)
+    assert any(
+        not e.is_loop and any(o.id != e.id and set(o.ends) == set(e.ends) for o in g.edges)
+        for g in CASES
+        for e in g.edges
+    )
     assert any(v.q > 0 for g in CASES for v in g.vertices)
     assert any(len(g.vertices) == 1 for g in CASES)
     # a tree whose genus comes only from q
@@ -86,3 +77,27 @@ def test_genus_zero_rejected():
         invariants.tau_epsilon_phi(tree)
     with pytest.raises(GenusZero):
         fit_phi(tree)
+
+
+def test_certificate_fires_when_both_paths_move_together(monkeypatch, tmp_path, capsys):
+    # one more unit in T.w at a vertex with K_q != 0 moves f there, and the
+    # capacity with it, so both paths of `_dual_values` move alike and still
+    # agree; only the tau route, which never reads T.w, sees the change
+    real = potentials._weighted_sums
+
+    def shifted(g):
+        tw = list(real(g))
+        tw[next(i for i, k in enumerate(invariants._polarization(g)) if k)] += 1
+        return tw
+
+    monkeypatch.setattr(potentials, "_weighted_sums", shifted)
+    g = build("VI", (1, 2, 3))
+    with pytest.raises(CrosscheckFailure, match="the tau route disagree"):
+        invariants._dual_values(g)
+    path = tmp_path / "vi.json"
+    path.write_text(dumps(g))
+    assert main(["invariants", str(path)]) == CrosscheckFailure.exit_code == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.err)["payload"]["error"] == "CrosscheckFailure"
