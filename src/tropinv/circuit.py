@@ -33,9 +33,9 @@ One edge constant carries everything else an edge needs:
 (`edge_density`), with r(p, q) read from the vertex table and r(e) the
 resistance between e's ends with its interior removed.  Over the table's
 integers it is an integer K_e over one D per graph (`_edge_constants`),
-which the measures and the tau route of `invariants` read.  It is the density
-of the canonical measure on e, 1/m(e) on a loop and 0 on a bridge, so no
-caller searches for bridges or handles an infinite r(e); only
+which the potential's weights and the tau route of `invariants` read.  It
+is the density of the canonical measure on e, 1/m(e) on a loop and 0 on a
+bridge, so no caller searches for bridges or handles an infinite r(e); only
 `excised_edge_resistance`, r(e) = 1/kappa(e) - m(e), reports infinity.  Every
 edge quadratic is `QuadraticProfile.anchored` at its two end values with its
 leading coefficient: r(., v) restricted to e has -kappa(e)
@@ -212,20 +212,21 @@ def resistance(g, x, y):
 
 @memoized
 def _edge_constants(g):
-    """(K, D): kappa(e) = K[e.id] / D on every edge, integers over one D > 0.
+    """(K, D, l): kappa(e) = K[e.id] / D on every edge, integers over one D > 0,
+    and l the lcm of the length denominators.
 
     kappa(e) = (m(e) - r(p, q)) / m(e)^2 with r(p, q) = T[p][q]/d read from
-    the vertex table.  With m(e) = a/b and l the lcm of the squared length
-    numerators, that is b (a d - b T[p][q]) (l/a^2) over D = d l.
+    the vertex table.  With m(e) = a/b and n the lcm of the squared length
+    numerators, that is b (a d - b T[p][q]) (n/a^2) over D = d n.
     """
     index, table, d = _vertex_table(g)
-    l = lcm(*(e.length.numerator ** 2 for e in g.edges))
+    n = lcm(*(e.length.numerator ** 2 for e in g.edges))
     consts = {}
     for e in g.edges:
         a, b = e.length.numerator, e.length.denominator
         t_pq = table[index[e.ends[0]]][index[e.ends[1]]]
-        consts[e.id] = b * (a * d - b * t_pq) * (l // a**2)
-    return consts, d * l
+        consts[e.id] = b * (a * d - b * t_pq) * (n // a**2)
+    return consts, d * n, lcm(*(e.length.denominator for e in g.edges))
 
 
 @memoized
@@ -240,7 +241,7 @@ def edge_density(g, eid):
     from `_edge_constants`.
     """
     g.edge(eid)  # an unknown id raises UnknownPoint
-    consts, den = _edge_constants(g)
+    consts, den, _ = _edge_constants(g)
     return Fraction(consts[eid], den)
 
 

@@ -12,9 +12,10 @@ once by closed-form integration of the diagonal f(x) - c, and once through the
 algebraic reductions epsilon = sum K_q(v) f(v) and
 phi = -delta/4 + 3 h c - (1/4) sum K_q(v) f(v).  The reductions are derived
 accelerations, never the sole source of truth: both paths must agree exactly.
-Both are dot products with the weighted sums T.w of the potential
-(`potentials._weighted_sums`), so an error in T.w that moves f at a vertex
-with K_q(v) != 0 moves both alike.
+Both read the potential at the vertices, one integer vector T.w of weighted
+table rows (`potentials._weighted_sums`): the second path directly, the
+first through the edge profiles anchored there.  So an error in T.w that
+moves f at a vertex with K_q(v) != 0 moves both alike.
 
 So a third route certifies them (`_tau_route`).  It reads only the vertex
 resistance table and the edge constant kappa(e): the tau constant of Baker
@@ -27,7 +28,6 @@ held-out lengths.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import mul
 
 from . import circuit, potentials
@@ -35,40 +35,26 @@ from .errors import CrosscheckFailure
 from .graphs import genus, is_stable, memoized, polarized_divisor, require_positive_genus, total_length
 from .rational import exact_fields, format_rational
 
-
-def _diagonal_scale(quantity, h):
-    """(scale, sign) of the measure scale mu + sign delta_{K_q} that g(x, x) is
-    integrated against: epsilon (2h-2) mu + delta_{K_q}, phi (10h+2) mu - delta_{K_q}."""
-    return (2 * h - 2, 1) if quantity == "epsilon" else (10 * h + 2, -1)
+_ZERO = Fraction(0)
 
 
-def _diagonal_integral(g, quantity):
-    """Exact integral of the diagonal g(x, x) = f(x) - c against nu = scale mu + sign delta_{K_q}.
-
-    nu's vertex weights are scale w/w_den + sign K_q, w those of
-    `potentials._potential_weights`, and its densities (scale/h) kappa(e),
-    so the integral of f is one dot product with the weighted sums
-    (`potentials._potential_integral`).
-    """
-    _, h = genus(g)
-    scale, sign = _diagonal_scale(quantity, h)
-    w, w_den, _ = potentials._potential_weights(g)
-    u = [scale * a + sign * w_den * b for a, b in zip(w, _polarization(g))]
-    integral, mass = potentials._potential_integral(g, u, w_den, Fraction(scale, h))
-    return integral - potentials.capacity(g) * mass
+def _diagonal_integral(g, nu):
+    """Exact integral of the diagonal g(x, x) = f(x) - c against a measure nu."""
+    return potentials.integrate_potential(g, nu) - potentials.capacity(g) * nu.total_mass
 
 
 @memoized
 def diagonal_weights(g, quantity):
-    """The measure that g(x,x) is integrated against (`_diagonal_scale`), as a `potentials.Measure`.
+    """The measure that g(x,x) is integrated against, as a `potentials.Measure`.
 
+    epsilon: (2h-2) mu + delta_{K_q};  phi: (10h+2) mu - delta_{K_q}.
     Memoized per graph and quantity: the oracle ladder reads it once per
     order.
     """
     _, h = genus(g)
     mu = potentials.admissible_measure(g)
     k_q = polarized_divisor(g)
-    scale, sign = _diagonal_scale(quantity, h)
+    scale, sign = (2 * h - 2, 1) if quantity == "epsilon" else (10 * h + 2, -1)
     atoms = {v.id: scale * mu.atom(v.id) + sign * k_q[v.id] for v in g.vertices}
     densities = {e.id: scale * mu.density(e.id) for e in g.edges}
     return potentials.Measure(g, atoms, densities, quantity)
@@ -90,17 +76,17 @@ def _dual_values(g):
     """(epsilon, phi) with both computation paths checked against each other
     and against the tau route."""
     _, h = genus(g)
+    k_q = polarized_divisor(g)
     c = potentials.capacity(g)
     delta = total_length(g)
 
-    eps_primary = _diagonal_integral(g, "epsilon")
-    phi_primary = -delta / 4 + _diagonal_integral(g, "phi") / 4
+    eps_primary = _diagonal_integral(g, diagonal_weights(g, "epsilon"))
+    phi_primary = -delta / 4 + _diagonal_integral(g, diagonal_weights(g, "phi")) / 4
 
-    # sum of K_q(v) f(v), with f(v) = TW[v]/(w_den d) + C
-    _, w_den, offset = potentials._potential_weights(g)
-    k = _polarization(g)
-    d = circuit._vertex_table(g)[2]
-    kq_f = Fraction(sum(map(mul, k, potentials._weighted_sums(g))), w_den * d) + offset * sum(k)
+    kq_f = sum(
+        (k_q[v.id] * potentials._potential_at_vertex(g, v.id) for v in g.vertices),
+        _ZERO,
+    )
     eps_secondary = kq_f
     phi_secondary = -delta / 4 + 3 * h * c - kq_f / 4
 
@@ -118,15 +104,16 @@ def _tau_route(g):
     tau = (1/4) integral of (d/dx r(x, y))^2 dx does not depend on y; take y
     the first vertex, the ground of the table.  On e = (p, q) of length L,
     r(., y) is the quadratic anchored at r(p, y) and r(q, y) with leading
-    coefficient -kappa(e), so e adds (kappa(e)^2 L^3/3 + (r(q, y) - r(p, y))^2 / L) / 4.
-    With theta the sum over ordered vertex pairs of K_q(p) K_q(q) r(p, q):
+    coefficient -kappa(e), so e adds
+    (kappa(e)^2 L^3/3 + (r(q, y) - r(p, y))^2 / L) / 4.  With theta the sum
+    over ordered vertex pairs of K_q(p) K_q(q) r(p, q):
 
         phi     = ((5h-2)/h) tau + theta/(4h) - delta/4
         epsilon = ((4h-4)/h) tau + theta/(2h)
 
-    In integers, with the table T over d and kappa(e) = K_e/D
-    (`circuit._edge_constants`), L = a/b and l, n the lcms of the length
-    denominators and numerators:
+    In integers, with the table T over d, kappa(e) = K_e/D and l the lcm of
+    the length denominators (`circuit._edge_constants`), L = a/b and n = D/d,
+    the lcm of the squared length numerators:
 
         4 tau = sum K_e^2 a^3 (l/b)^3 / (3 D^2 l^3) + sum (T_qy - T_py)^2 b (n/a) / (d^2 n)
         theta = k.T.k / d
@@ -135,9 +122,8 @@ def _tau_route(g):
     """
     h = require_positive_genus(g)
     index, table, d = circuit._vertex_table(g)
-    consts, big_d = circuit._edge_constants(g)
-    l = lcm(*(e.length.denominator for e in g.edges))
-    n = lcm(*(e.length.numerator for e in g.edges))
+    consts, big_d, l = circuit._edge_constants(g)
+    n = big_d // d
     bulk = slope = 0
     for e in g.edges:
         a, b = e.length.numerator, e.length.denominator

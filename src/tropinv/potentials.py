@@ -3,18 +3,17 @@
 The canonical measure puts -K_can/2 on the vertices plus the uniform density
 kappa(e) = 1/(m(e)+r(e)) on each edge (`circuit.edge_density`, 0 on a
 bridge); it is a probability measure.  The admissible measure of a genus-h
-graph is (1/2h)(delta_{K_q} + 2 mu_can), also of mass one.  Both are built
-from integers: kappa(e) is K_e/D (`circuit._edge_constants`), each edge's
-mass kappa(e) m(e) an integer over one denominator (`_edge_masses`), and
-each mass check an integer identity; a `Fraction` is made once per atom
-and per density.  The potential f(x) integrates the resistance kernel
-against the admissible measure; the Green function is then
+graph is (1/2h)(delta_{K_q} + 2 mu_can), also of mass one.  The potential
+f(x) integrates the resistance kernel against the admissible measure; the
+Green function is then
 
     g(x, y) = (f(x) + f(y) - r(x, y)) / 2 - c,
 
 with c the capacity constant fixed by the normalization that g integrates to
 zero against the measure.  All of it is exact rational arithmetic; the edge
 restrictions of f are closed-form quadratics, so every integral is exact.
+Every integral against a measure is `Measure.integrate` of a function's
+vertex values and edge integrals (`integrate_potential` for f).
 
 At a vertex, f is one weighted row of the resistance table plus a constant,
 f(v) = sum over u of w(u) r(u, v) + C (`_potential_weights`).  The weights
@@ -33,18 +32,13 @@ an interior point is that function at one point, and the oracle's midpoint
 sums call it with all the midpoints of an edge.
 
 On an edge, f is the quadratic anchored at its two endpoint potentials with
-leading coefficient A(e) = d(e) - kappa(e) = kappa(e)(1 - h)/h
-(`potential_profile`).  So the integral of f against a measure is its
-vertex weights dotted with T.w plus one edge term in A
-(`_potential_integral`): the capacity is that, and so are both diagonal
-integrals of `invariants`.  The profiles and their integrals
-(`profile_integral`) remain for their own callers, and
-`integrate_potential` integrates them through `Measure.integrate` for
-`green_measure_integral`, which checks the capacity from outside.
+leading coefficient d(e) - kappa(e) (`potential_profile`), so a profile
+costs O(1) once the vertex potentials are known, and its integral is the
+quadratic's (`profile_integral`).
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 from . import circuit
@@ -54,7 +48,6 @@ from .graphs import (
     VertexPoint,
     canonical_divisor,
     check_point,
-    genus,
     insert_point,
     memoized,
     polarized_divisor,
@@ -71,18 +64,15 @@ class Measure:
 
     Immutable by convention; `densities` are masses per unit length, and
     zero coefficients are dropped.  `integrate` is the one place that sums
-    over the atoms and densities.  The total mass is its first use,
-    computed exactly at construction, unless the builder passes the mass it
-    has already checked in integers (the canonical and admissible measures).
+    over the atoms and densities; the total mass is its first use, computed
+    exactly at construction.
     """
 
-    def __init__(self, g, atoms, densities, tag, total_mass=None):
+    def __init__(self, g, atoms, densities, tag):
         self._atoms = {vid: Fraction(c) for vid, c in atoms.items() if c != 0}
         self._densities = {eid: Fraction(c) for eid, c in densities.items() if c != 0}
         self.tag = tag
-        if total_mass is None:
-            total_mass = self.integrate(lambda vid: 1, lambda eid: g.edge(eid).length)
-        self.total_mass = total_mass
+        self.total_mass = self.integrate(lambda vid: 1, lambda eid: g.edge(eid).length)
 
     def integrate(self, at_vertex, over_edge):
         """Sum of atom(v) * at_vertex(v) over v plus density(e) * over_edge(e) over e.
@@ -117,37 +107,18 @@ class Measure:
 
 
 @memoized
-def _edge_masses(g):
-    """(M, den, l): kappa(e) m(e) = M[e.id] / den on every edge, and m(e) = n/l.
-
-    l is the lcm of the length denominators, den = D l with kappa(e) = K/D
-    (`circuit._edge_constants`), and M = K n for m(e) = n/l.  Foster's
-    identity reads sum(M) = b1 den.
-    """
-    consts, big_d = circuit._edge_constants(g)
-    l = lcm(*(e.length.denominator for e in g.edges))
-    masses = {e.id: consts[e.id] * e.length.numerator * (l // e.length.denominator) for e in g.edges}
-    return masses, big_d * l, l
-
-
-@memoized
 def canonical_measure(g):
-    """Atoms -K_can/2 plus densities kappa(e); total mass exactly one.
-
-    The mass is checked in integers over 2 den (`_edge_masses`): an atom
-    -K_can(v)/2 is -K_can(v) den there and an edge's mass 2 M[e].
-    """
+    """Atoms -K_can/2 plus densities kappa(e); total mass exactly one."""
     require_connected(g)
     k_can = canonical_divisor(g)
-    masses, den, _ = _edge_masses(g)
-    mass = 2 * sum(masses.values()) - den * sum(int(c) for _, c in k_can.items())
-    if mass != 2 * den:
-        raise CrosscheckFailure(
-            f"canonical measure has mass {format_rational(Fraction(mass, 2 * den))} != 1"
-        )
     atoms = {v.id: -k_can[v.id] / 2 for v in g.vertices}
     densities = {e.id: circuit.edge_density(g, e.id) for e in g.edges}
-    return Measure(g, atoms, densities, "canonical", total_mass=Fraction(1))
+    measure = Measure(g, atoms, densities, "canonical")
+    if measure.total_mass != 1:
+        raise CrosscheckFailure(
+            f"canonical measure has mass {format_rational(measure.total_mass)} != 1"
+        )
+    return measure
 
 
 @memoized
@@ -156,24 +127,21 @@ def admissible_measure(g):
 
     The densities are mu_can's over h in both forms, so the simplification
     is checked on the atoms: the definitional atoms must be q(x)/h, vertex
-    by vertex; a mismatch is an implementation bug.  The mass is checked in
-    integers over h den (`_edge_masses`): an atom q(v)/h is q(v) den there
-    and an edge's mass M[e].
+    by vertex; a mismatch is an implementation bug.
     """
     h = require_positive_genus(g)
     mu_can = canonical_measure(g)
     k_q = polarized_divisor(g)
-    if any(k_q[v.id] + 2 * mu_can.atom(v.id) != 2 * v.q for v in g.vertices):
-        raise CrosscheckFailure("admissible measure: definitional and simplified forms disagree")
-    masses, den, _ = _edge_masses(g)
-    mass = den * sum(v.q for v in g.vertices) + sum(masses.values())
-    if mass != h * den:
-        raise CrosscheckFailure(
-            f"admissible measure has mass {format_rational(Fraction(mass, h * den))} != 1"
-        )
-    atoms = {v.id: Fraction(v.q, h) for v in g.vertices}
+    atoms = {v.id: (k_q[v.id] + 2 * mu_can.atom(v.id)) / (2 * h) for v in g.vertices}
     densities = {e.id: mu_can.density(e.id) / h for e in g.edges}
-    return Measure(g, atoms, densities, "admissible", total_mass=Fraction(1))
+    measure = Measure(g, atoms, densities, "admissible")
+    if measure.atoms() != sorted((v.id, Fraction(v.q, h)) for v in g.vertices if v.q):
+        raise CrosscheckFailure("admissible measure: definitional and simplified forms disagree")
+    if measure.total_mass != 1:
+        raise CrosscheckFailure(
+            f"admissible measure has mass {format_rational(measure.total_mass)} != 1"
+        )
+    return measure
 
 
 # ---------------------------------------------------------------------------
@@ -189,25 +157,29 @@ def _potential_weights(g):
     each edge end at u (a loop puts its whole mass on its vertex), and C is
     the sum of density * kappa(e) m(e)^3/6 = (kappa(e) m(e))^2 m(e) / (6h);
     `circuit.edge_terminal_integral` is that integral, which
-    `green_measure_integral` reads edge by edge.  Over 2 h den
-    (`_edge_masses`) the atom q(u)/h is 2 den q(u) and half an edge's mass
-    M[e]; the weights are then divided by their common factor with that
+    `green_measure_integral` reads edge by edge.  The weights are made of
+    integers: with kappa(e) = K/D and l of `circuit._edge_constants` and
+    m(e) = n/l, an edge's mass kappa(e) m(e) is M = K n over den = D l, so
+    over 2 h den the atom q(u)/h is 2 den q(u) and half an edge's mass M.
+    The weights are then divided by their common factor with that
     denominator.  They are aligned with the index of the vertex table, so a
     vertex potential is one integer dot product with a table row.
     """
     h = require_positive_genus(g)
-    admissible_measure(g)  # checks the masses the weights are made of
-    masses, den, l = _edge_masses(g)
+    admissible_measure(g)  # checks the masses, whose densities are the same K/D
+    consts, big_d, l = circuit._edge_constants(g)
+    den = big_d * l
     index = circuit._vertex_table(g)[0]
     weights = [0] * len(index)
     for v in g.vertices:
         weights[index[v.id]] = 2 * den * v.q
     bulk = 0
     for e in g.edges:
-        mass = masses[e.id]
+        n = e.length.numerator * (l // e.length.denominator)
+        mass = consts[e.id] * n
         for end in e.ends:
             weights[index[end]] += mass
-        bulk += mass * mass * e.length.numerator * (l // e.length.denominator)
+        bulk += mass * mass * n
     w_den = 2 * h * den
     common = gcd(w_den, *weights)
     return [w // common for w in weights], w_den // common, Fraction(bulk, 6 * h * den * den * l)
@@ -227,28 +199,6 @@ def _potential_at_vertex(g, vid):
     _, w_den, offset = _potential_weights(g)
     index, _, d = circuit._vertex_table(g)
     return Fraction(_weighted_sums(g)[index[vid]], w_den * d) + offset
-
-
-def _potential_integral(g, u, u_den, scale):
-    """(integral of f, mass) against the measure nu with vertex weights u/u_den
-    and densities scale kappa(e), u aligned with the vertex table's index.
-
-    A vertex weight is nu's atom plus half of each edge end's mass there (a
-    loop puts all of it on its vertex), so the weights sum to nu's mass.
-    On an edge e, f is the quadratic with leading coefficient
-    A(e) = kappa(e)(1 - h)/h (`potential_profile`), so its integral over e
-    is the trapezoid value minus A(e) m(e)^3/6; summed against nu, the
-    trapezoid values give the weighted vertex potentials u.f/u_den and the
-    rest is -scale (1 - h) C, with C of `_potential_weights`.  So
-
-        integral = u.TW/(u_den w_den d) + C (mass - scale (1 - h)).
-    """
-    _, h = genus(g)
-    w_den, offset = _potential_weights(g)[1:]
-    d = circuit._vertex_table(g)[2]
-    mass = Fraction(sum(u), u_den)
-    weighted = Fraction(sum(map(mul, u, _weighted_sums(g))), u_den * w_den * d)
-    return weighted + offset * (mass - scale * (1 - h)), mass
 
 
 def _edge_potentials(g, eid, nums, b):
@@ -352,7 +302,7 @@ def potential_profile(g, eid):
 def profile_integral(g, eid):
     """The integral of f over the edge e: `potential_profile` integrated over [0, m(e)].
 
-    Memoized: `integrate_potential` reads it once per measure with density on e.
+    Memoized: the capacity and both diagonal integrals read it.
     """
     return potential_profile(g, eid).integral(g.edge(eid).length)
 
@@ -365,15 +315,9 @@ def integrate_potential(g, nu):
 
 @memoized
 def capacity(g):
-    """c = (1/2) * double integral of the resistance kernel against the measure.
-
-    That is half the integral of f against the admissible measure, whose
-    vertex weights are those of f itself (`_potential_weights`) and whose
-    densities are kappa(e)/h: `_potential_integral` of w over w_den.
-    """
-    h = require_positive_genus(g)
-    w, w_den, _ = _potential_weights(g)
-    return _potential_integral(g, w, w_den, Fraction(1, h))[0] / 2
+    """c = (1/2) * double integral of the resistance kernel against the measure."""
+    require_positive_genus(g)
+    return integrate_potential(g, admissible_measure(g)) / 2
 
 
 def green(g, x, y):

@@ -316,58 +316,6 @@ def reference_potential(g, x):
     return value + density * shift / 2
 
 
-def reference_invariants(g):
-    """(capacity, epsilon, phi) by the profile route, the reference for the engine's dot products.
-
-    f is integrated against a measure by `Measure.integrate` of the vertex
-    potentials and of `potentials.profile_integral`, the integral of each
-    edge's potential profile (`potentials.integrate_potential`).  The
-    capacity is half its integral against the admissible measure; epsilon
-    and phi integrate f - c against `invariants.diagonal_weights`, whose
-    masses `Measure` sums itself.  Both reductions, epsilon = sum of
-    K_q(v) f(v) and phi = -delta/4 + 3 h c - epsilon/4, must hold.
-    """
-    from tropinv import invariants, polarized_divisor, potentials, total_length
-
-    _, h = genus(g)
-    c = potentials.integrate_potential(g, potentials.admissible_measure(g)) / 2
-
-    def diagonal(quantity):
-        nu = invariants.diagonal_weights(g, quantity)
-        return potentials.integrate_potential(g, nu) - c * nu.total_mass
-
-    delta = total_length(g)
-    eps, ph = diagonal("epsilon"), -delta / 4 + diagonal("phi") / 4
-    k_q = polarized_divisor(g)
-    kq_f = sum((k_q[v.id] * potentials._potential_at_vertex(g, v.id) for v in g.vertices), Fraction(0))
-    assert (eps, ph) == (kq_f, -delta / 4 + 3 * h * c - kq_f / 4)
-    return c, eps, ph
-
-
-def seeded_cases():
-    """60 seeded `random_connected_graph` draws of genus 1-4 with V <= 6, every
-    genus-2 catalog type with edges, two loops at one vertex, and a tree whose
-    genus comes only from q."""
-    import random
-
-    from tropinv import build
-    from tropinv.genus2 import CATALOG, arity
-
-    rng = random.Random(17)
-    graphs = [random_connected_graph(rng, genus_min=1, genus_max=4, max_vertices=6) for _ in range(60)]
-    graphs += [build(tag, (Fraction(2), Fraction(3, 7), Fraction(5, 2))[: arity(tag)]) for tag in CATALOG if arity(tag)]
-    graphs.append(
-        PolarizedMetricGraph.build([("v", 0)], [("a", ("v", "v"), Fraction(3, 2)), ("b", ("v", "v"), 5)])
-    )
-    graphs.append(
-        PolarizedMetricGraph.build(
-            [("a", 1), ("b", 0), ("c", 2)],
-            [("ab", ("a", "b"), Fraction(4, 3)), ("bc", ("b", "c"), 2)],
-        )
-    )
-    return graphs
-
-
 def reference_diagonal_quadrature(g, order, nu):
     """The midpoint rule for the integral of g(x, x) against nu, one `green` call per sample.
 

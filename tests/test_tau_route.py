@@ -8,6 +8,7 @@ file's graphs.
 """
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,9 +16,10 @@ import pytest
 from tropinv import CrosscheckFailure, GenusZero, PolarizedMetricGraph, build, fit_phi, total_length
 from tropinv import circuit, invariants, potentials
 from tropinv.cli import main
+from tropinv.genus2 import CATALOG, arity
 from tropinv.graphs import dumps
 
-from helpers import is_bridge, seeded_cases
+from helpers import is_bridge, random_connected_graph
 
 
 def _tau(g, y):
@@ -35,7 +37,23 @@ def _route_tau(g):
     return (ph - eps / 2 + total_length(g) / 4) / 3
 
 
-CASES = seeded_cases()
+def _cases():
+    rng = random.Random(17)
+    graphs = [random_connected_graph(rng, genus_min=1, genus_max=4, max_vertices=6) for _ in range(60)]
+    graphs += [build(tag, (Fraction(2), Fraction(3, 7), Fraction(5, 2))[: arity(tag)]) for tag in CATALOG if arity(tag)]
+    graphs.append(
+        PolarizedMetricGraph.build([("v", 0)], [("a", ("v", "v"), Fraction(3, 2)), ("b", ("v", "v"), 5)])
+    )
+    graphs.append(
+        PolarizedMetricGraph.build(
+            [("a", 1), ("b", 0), ("c", 2)],
+            [("ab", ("a", "b"), Fraction(4, 3)), ("bc", ("b", "c"), 2)],
+        )
+    )
+    return graphs
+
+
+CASES = _cases()
 
 
 def test_cases_cover_every_kind_of_edge_and_vertex():
